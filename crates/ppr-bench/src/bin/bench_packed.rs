@@ -1,31 +1,30 @@
 //! Quick-bench snapshot of the packed chip pipeline: times the
 //! packed-vs-bool stages at L ∈ {1k, 10k, 100k} chips (including the
 //! allocation-free in-place corruption entry), the chunking-DP planner
-//! ladder (`plan_chunks_{interval,quadratic,monotone}_L*`), the CRC-32
+//! ladder (`plan_chunks_{interval,monotone}_L*`: the paper's `O(L³)`
+//! interval DP against the production `O(L)` planner), the CRC-32
 //! ladder (1-table vs slice-by-16 vs PCLMULQDQ folding), the DSP kernel
 //! ladder (`dsp_{axpy,demod,sova}_<kernel>`), plus a small end-to-end
-//! reception run, and writes `BENCH_packed.json` (schema v5) so CI can
-//! archive the perf trajectory from PR 2 onward.
+//! reception run, and writes `BENCH_packed.json` (schema v6) so CI can
+//! archive the perf trajectory.
 //!
-//! Schema v5 adds the event-core rows: the reception loop timed under
-//! both drivers (`recv_{event,timestep}_w{N}_ms`, workers ∈ {1,2,4,8}),
-//! the dispatch batch-size tuning ladder (`recv_event_b{B}_ms`), and
-//! the 10k-node mesh flood (`mesh10k_*`: wall ms, measured events/sec
-//! and simulated packets/sec, per worker count). Wall-clock reads live
-//! here, not in `ppr-sim` — simulation code is banned from timing
-//! itself (the ppr-lint `determinism` rule).
+//! The event-core rows time [`ReceptionDriver`] directly: the worker
+//! ladder (`recv_event_w{N}_ms`, workers ∈ {1,2,4,8}), the dispatch
+//! batch-size ladder (`recv_event_b{B}_ms`), and the 10k-node mesh
+//! flood (`mesh10k_*`: wall ms, measured events/sec and simulated
+//! packets/sec, per worker count). Schema v6 drops the v5 rows of the
+//! retired time-stepped reception loop and `O(L²)` chunk planner.
+//! Wall-clock reads live here, not in `ppr-sim` — simulation code is
+//! banned from timing itself (the ppr-lint `determinism` rule).
 //!
 //! Timings are coarse (tens of milliseconds per entry) on purpose — this
-//! is a smoke-level trend tracker, not a statistics engine; use
-//! `cargo bench -p ppr-bench` for interactive comparisons.
+//! is a smoke-level trend tracker, not a statistics engine; the
+//! `perfbench/` package measures whole workloads and their layers.
 
 use ppr_channel::chip_channel::{
     corrupt_chip_words, corrupt_chip_words_in_place, corrupt_chips, ErrorProfile,
 };
-use ppr_core::dp::{
-    plan_chunks_interval, plan_chunks_monotone_with, plan_chunks_quadratic_with, ChunkScratch,
-    CostModel,
-};
+use ppr_core::dp::{plan_chunks_interval, plan_chunks_monotone_with, ChunkScratch, CostModel};
 use ppr_core::runs::RunLengths;
 use ppr_mac::schemes::DeliveryScheme;
 use ppr_phy::chips::ChipWords;
@@ -36,8 +35,7 @@ use ppr_phy::simd::{DespreadKernel, DspKernel};
 use ppr_phy::sova;
 use ppr_sim::experiments::mesh::{run_mesh, MeshParams, MESH_BODY_BYTES};
 use ppr_sim::network::{
-    generate_timeline, process_receptions, process_receptions_timestep, process_receptions_tuned,
-    RadioEnv, RxArm, SimConfig,
+    generate_timeline, process_receptions, RadioEnv, ReceptionDriver, RxArm, SimConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,11 +147,11 @@ fn main() {
         ));
     }
 
-    // Chunking-DP planner ladder (schema v3): the O(L³) interval
-    // reference vs the O(L²)/O(L) partition planners on L evenly spaced
-    // 3-unit bad runs. Two deliberate exceptions to the 20 ms/entry
-    // budget: `plan_chunks_interval_L1024` runs one ~0.4 s iteration so
-    // the trajectory records the baseline the partition planners are
+    // Chunking-DP planner ladder: the O(L³) interval reference vs the
+    // O(L) partition planner on L evenly spaced 3-unit bad runs. Two
+    // deliberate exceptions to the 20 ms/entry budget:
+    // `plan_chunks_interval_L1024` runs one ~0.4 s iteration so the
+    // trajectory records the baseline the partition planner is
     // measured against, and the interval DP is skipped entirely at
     // L = 4096 — it is cubic and would take tens of seconds per
     // iteration there, which is precisely the point of the ladder.
@@ -176,10 +174,6 @@ fn main() {
                     time_ns(|| plan_chunks_interval(&rl, &cost)),
                 ));
             }
-            entries.push((
-                format!("plan_chunks_quadratic_L{l}"),
-                time_ns(|| plan_chunks_quadratic_with(&rl, &cost, &mut scratch).cost_bits),
-            ));
             entries.push((
                 format!("plan_chunks_monotone_L{l}"),
                 time_ns(|| plan_chunks_monotone_with(&rl, &cost, &mut scratch).cost_bits),
@@ -293,31 +287,24 @@ fn main() {
     ));
     entries.push(("process_receptions_2s_count".into(), recs.len() as f64));
 
-    // Driver × worker-count scaling: the event core against the pinned
-    // time-stepped reference on the same timeline. On a 1-core
-    // container the rows are flat — they exist so multi-core hosts
-    // record the scaling trajectory under the same schema.
+    // Worker-count scaling of the event driver. On a 1-core container
+    // the rows are flat — they exist so multi-core hosts record the
+    // scaling trajectory under the same schema.
     for workers in [1usize, 2, 4, 8] {
         let t = Instant::now();
-        let e = process_receptions_tuned(&env, &cfg, &timeline, &arm, Some(workers), 8);
+        let e = ReceptionDriver::new(&env, &cfg, &timeline, &arm, Some(workers), 8).run_to_end();
         entries.push((
             format!("recv_event_w{workers}_ms"),
             t.elapsed().as_secs_f64() * 1e3,
         ));
-        let t = Instant::now();
-        let s = process_receptions_timestep(&env, &cfg, &timeline, &arm, Some(workers));
-        entries.push((
-            format!("recv_timestep_w{workers}_ms"),
-            t.elapsed().as_secs_f64() * 1e3,
-        ));
-        assert_eq!(e, s, "drivers diverged at {workers} workers");
+        assert_eq!(e, recs, "event driver diverged at {workers} workers");
     }
 
     // Dispatch batch tuning at the default worker count: how many
     // receptions each flush hands the fan-out.
     for batch in [4usize, 8, 16, 32] {
         let t = Instant::now();
-        let r = process_receptions_tuned(&env, &cfg, &timeline, &arm, None, batch);
+        let r = ReceptionDriver::new(&env, &cfg, &timeline, &arm, None, batch).run_to_end();
         entries.push((
             format!("recv_event_b{batch}_ms"),
             t.elapsed().as_secs_f64() * 1e3,
@@ -353,7 +340,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"ppr-bench-packed/v5\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
+        "  \"schema\": \"ppr-bench-packed/v6\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

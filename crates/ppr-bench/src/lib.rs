@@ -1,4 +1,4 @@
-//! # `ppr-bench` — ablation/profiling binaries and criterion benches
+//! # `ppr-bench` — ablation binaries and the perf snapshot
 //!
 //! The paper's figure and table experiments live in the `ppr-sim`
 //! experiment registry and run through the `ppr-cli` driver:
@@ -12,10 +12,10 @@
 //! What stays here are the binaries that are *not* registry
 //! experiments: the ablations (`ablation_eta`, `ablation_hints`,
 //! `ablation_arq_strategies`, `ablation_collision_model`), the §9
-//! spreading-factor sweep (`conclusion_rate`), the development probes
-//! (`profile_sim`, `profile_stages`), the `bench_packed` perf
-//! snapshot, plus criterion micro-benches for the hot algorithmic
-//! paths (the chunking DP, the despreader, the chip channel).
+//! spreading-factor sweep (`conclusion_rate`) and the `bench_packed`
+//! perf snapshot of the hot algorithmic paths (the chunking DP, the
+//! despreader, the chip channel, the reception driver). Per-layer host
+//! time of whole workloads is the separate `perfbench/` package's job.
 //!
 //! Set `PPR_DURATION=<seconds>` to shorten/lengthen the simulated
 //! duration (default 90 s) — or use `--set duration=<s>` on `ppr-cli`.

@@ -16,8 +16,8 @@
 //! per (experiment, point) next to the text output.
 //!
 //! `ppr-cli diff` is the differential harness: each selected experiment
-//! runs under every driver × checkpoint combination and the rendered
-//! reports are compared byte for byte; one reception checkpoint is then
+//! runs with and without a mid-run checkpoint and the rendered reports
+//! are compared byte for byte; one reception checkpoint is then
 //! restored under every reception backend and the streams diffed event
 //! by event (`ppr_sim::diff`). Any disagreement exits 1 and — with
 //! `--json DIR` — writes a first-divergence report.
@@ -32,7 +32,7 @@ use ppr_sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
 use ppr_sim::experiments::{find, registry, Experiment};
 use ppr_sim::network::{snapshot_after_events, RxArm};
 use ppr_sim::results::{fingerprint, ExperimentResult, Json};
-use ppr_sim::scenario::{Driver, Scenario, ScenarioBuilder, SCENARIO_KEYS};
+use ppr_sim::scenario::{Scenario, ScenarioBuilder, SCENARIO_KEYS};
 use ppr_sim::snapshot::{MeshSnapshot, RxSnapshot};
 
 /// Usage text printed by `--help` and on argument errors.
@@ -42,7 +42,7 @@ usage:
   ppr-cli run <id>... [options]      run experiments by id
   ppr-cli run --all [options]        run the full registry
   ppr-cli diff <id>... [options]     cross-validate experiments across
-  ppr-cli diff --all [options]       drivers, checkpoints and backends
+  ppr-cli diff --all [options]       checkpoints and backends
 
 options:
   --set key=value[,value...]         scenario override; comma-separated
@@ -312,23 +312,17 @@ fn run(args: &RunArgs) -> i32 {
 /// exists when it is taken.
 const DIFF_DEFAULT_CHECKPOINT: u64 = 200;
 
-/// The driver × checkpoint combinations the experiment-level pass runs;
-/// the first is the baseline.
+/// The checkpoint combinations the experiment-level pass runs; the
+/// first is the baseline.
 fn diff_variants(base: &Scenario, checkpoint: u64) -> Vec<(&'static str, Scenario)> {
-    [
-        ("event", Driver::Event, None),
-        ("event+checkpoint", Driver::Event, Some(checkpoint)),
-        ("timestep", Driver::Timestep, None),
-        ("timestep+checkpoint", Driver::Timestep, Some(checkpoint)),
-    ]
-    .into_iter()
-    .map(|(name, driver, checkpoint)| {
-        let mut sc = base.clone();
-        sc.driver = driver;
-        sc.checkpoint = checkpoint;
-        (name, sc)
-    })
-    .collect()
+    [("event", None), ("event+checkpoint", Some(checkpoint))]
+        .into_iter()
+        .map(|(name, checkpoint)| {
+            let mut sc = base.clone();
+            sc.checkpoint = checkpoint;
+            (name, sc)
+        })
+        .collect()
 }
 
 /// The adversarial mesh the `diff` fleet validates: 300 nodes under a
@@ -383,15 +377,10 @@ fn diff(args: &RunArgs) -> i32 {
         );
         println!();
 
-        // Experiment-level pass: every selected experiment under every
-        // driver × checkpoint combination; the rendered reports must be
+        // Experiment-level pass: every selected experiment with and
+        // without a checkpoint; the rendered reports must be
         // byte-identical.
-        let mut t = ppr_sim::report::Table::new(&[
-            "experiment",
-            "event+checkpoint",
-            "timestep",
-            "timestep+checkpoint",
-        ]);
+        let mut t = ppr_sim::report::Table::new(&["experiment", "event+checkpoint"]);
         for exp in &selected {
             let variants = diff_variants(&base, checkpoint);
             let baseline = exp.run(&variants[0].1).render_text();
@@ -415,7 +404,6 @@ fn diff(args: &RunArgs) -> i32 {
         // Stream-level pass: one reception checkpoint, restored under
         // every backend, streams diffed event by event.
         let mut event_base = base.clone();
-        event_base.driver = Driver::Event;
         event_base.checkpoint = None;
         let run = CapacityRun::from_scenario(&event_base, 13.8, false);
         let arm = RxArm {

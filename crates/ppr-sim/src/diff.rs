@@ -1,5 +1,5 @@
 //! The differential harness: restore one frozen checkpoint under every
-//! backend/driver/kernel combination and diff the resulting
+//! backend/kernel combination and diff the resulting
 //! [`Reception`] streams event by event.
 //!
 //! One-shot parity tests compare two fixed implementations on one
@@ -8,8 +8,7 @@
 //! ([`crate::network::snapshot_after_events`]), and the identical
 //! serialized state is completed under
 //!
-//! * the event-driven packed driver at several worker × batch shapes,
-//! * the time-stepped packed driver, and
+//! * the event-driven packed driver at several worker × batch shapes, and
 //! * the sequential `&[bool]` reference (the executable specification),
 //!
 //! after which [`first_divergence`] reports the first stream position
@@ -23,8 +22,8 @@
 //! compares the printed fingerprints.
 
 use crate::network::{
-    resume_receptions_reference, resume_receptions_timestep, RadioEnv, Reception, ReceptionDriver,
-    RxArm, SimConfig, Transmission,
+    resume_receptions_reference, RadioEnv, Reception, ReceptionDriver, RxArm, SimConfig,
+    Transmission,
 };
 use crate::results::fingerprint;
 use crate::snapshot::{encode_reception, RxSnapshot, SnapError, SnapWriter};
@@ -40,12 +39,6 @@ pub enum DiffBackend {
         /// Per-worker batch length.
         batch_per_worker: usize,
     },
-    /// The time-stepped packed driver (receiver-major batch walk, no
-    /// event queue).
-    Timestep {
-        /// Worker-thread count.
-        workers: usize,
-    },
     /// The sequential `&[bool]` reference implementation.
     Reference,
 }
@@ -58,15 +51,13 @@ impl DiffBackend {
                 workers,
                 batch_per_worker,
             } => format!("event/w{workers}b{batch_per_worker}"),
-            DiffBackend::Timestep { workers } => format!("timestep/w{workers}"),
             DiffBackend::Reference => "reference/bool".to_string(),
         }
     }
 }
 
 /// The default cross-validation matrix: the single-threaded event
-/// driver as baseline, wider event shapes, the time-stepped driver,
-/// and the bool reference.
+/// driver as baseline, wider event shapes, and the bool reference.
 pub fn standard_backends() -> Vec<DiffBackend> {
     vec![
         DiffBackend::Event {
@@ -81,7 +72,6 @@ pub fn standard_backends() -> Vec<DiffBackend> {
             workers: 4,
             batch_per_worker: 32,
         },
-        DiffBackend::Timestep { workers: 2 },
         DiffBackend::Reference,
     ]
 }
@@ -110,9 +100,6 @@ pub fn resume_receptions(
             snap,
         )
         .map(|d| d.run_to_end()),
-        DiffBackend::Timestep { workers } => {
-            resume_receptions_timestep(env, cfg, timeline, arm, snap, Some(workers))
-        }
         DiffBackend::Reference => resume_receptions_reference(env, cfg, timeline, arm, snap),
     }
 }
@@ -385,13 +372,7 @@ mod tests {
         let labels: Vec<String> = standard_backends().iter().map(|b| b.label()).collect();
         assert_eq!(
             labels,
-            [
-                "event/w1b1",
-                "event/w2b8",
-                "event/w4b32",
-                "timestep/w2",
-                "reference/bool"
-            ]
+            ["event/w1b1", "event/w2b8", "event/w4b32", "reference/bool"]
         );
     }
 }

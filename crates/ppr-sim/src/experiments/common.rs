@@ -8,13 +8,11 @@
 use crate::geometry::Testbed;
 use crate::metrics::Cdf;
 use crate::network::{
-    generate_timeline, office_model, process_receptions_checkpointed, process_receptions_timestep,
-    process_receptions_with_workers, resume_receptions_timestep, snapshot_after_events, RadioEnv,
-    Reception, RxArm, SimConfig, Transmission, SQUELCH_SNR,
+    generate_timeline, office_model, process_receptions_checkpointed, RadioEnv, Reception,
+    ReceptionDriver, RxArm, SimConfig, Transmission, BATCH_PER_WORKER, SQUELCH_SNR,
 };
 use crate::rxpath::Acquisition;
-use crate::scenario::{Driver, Scenario, DEFAULT_SEED};
-use crate::snapshot::RxSnapshot;
+use crate::scenario::{Scenario, DEFAULT_SEED};
 use ppr_mac::schemes::DeliveryScheme;
 
 /// One standard capacity run: environment + timeline, reusable across
@@ -28,8 +26,6 @@ pub struct CapacityRun {
     pub timeline: Vec<Transmission>,
     /// Reception-loop worker override (`None` = environment default).
     pub threads: Option<usize>,
-    /// Which reception driver evaluates the arms.
-    pub driver: Driver,
     /// Snapshot/restore exercise point (`None` = run uninterrupted).
     pub checkpoint: Option<u64>,
 }
@@ -45,12 +41,12 @@ impl CapacityRun {
             duration_s,
             seed: DEFAULT_SEED,
         };
-        Self::from_config(cfg, None, Testbed::fig7(), Driver::Event, None)
+        Self::from_config(cfg, None, Testbed::fig7(), None)
     }
 
     /// Builds a run for a scenario at the experiment's canonical load
     /// and carrier-sense arm (both subject to the scenario's
-    /// overrides), on the scenario's topology and driver.
+    /// overrides), on the scenario's topology.
     pub fn from_scenario(scenario: &Scenario, load_kbps: f64, carrier_sense: bool) -> Self {
         // The random-geometric square is sized for the *communication*
         // radius — the range at which a mean-power link still clears the
@@ -60,7 +56,6 @@ impl CapacityRun {
             scenario.sim_config(load_kbps, carrier_sense),
             scenario.threads,
             scenario.topology.testbed(comm_radius_m),
-            scenario.driver,
             scenario.checkpoint,
         )
     }
@@ -69,7 +64,6 @@ impl CapacityRun {
         cfg: SimConfig,
         threads: Option<usize>,
         testbed: Testbed,
-        driver: Driver,
         checkpoint: Option<u64>,
     ) -> Self {
         let env = RadioEnv::with_testbed(cfg.seed, testbed);
@@ -79,31 +73,30 @@ impl CapacityRun {
             cfg,
             timeline,
             threads,
-            driver,
             checkpoint,
         }
     }
 
     /// Evaluates one receiver arm over the shared timeline with the
-    /// run's driver (event-driven by default; the time-stepped pinned
-    /// reference under `driver=timestep`). Both produce bit-identical
-    /// [`Reception`] streams — `tests/event_parity.rs` pins it.
+    /// event-driven [`ReceptionDriver`].
     ///
     /// With a `checkpoint` set, the run is driven to that event
-    /// boundary by the event core, serialized through the binary
-    /// snapshot format, and completed under the run's driver — still
-    /// bit-identical, which `tests/snapshot_roundtrip.rs` pins for the
-    /// whole registry.
+    /// boundary, serialized through the binary snapshot format and
+    /// completed from the decoded bytes — bit-identical to the
+    /// uninterrupted run, which `tests/snapshot_roundtrip.rs` pins for
+    /// the whole registry.
     pub fn receptions(&self, arm: &RxArm) -> Vec<Reception> {
-        match (self.driver, self.checkpoint) {
-            (Driver::Event, None) => process_receptions_with_workers(
+        match self.checkpoint {
+            None => ReceptionDriver::new(
                 &self.env,
                 &self.cfg,
                 &self.timeline,
                 arm,
                 self.threads,
-            ),
-            (Driver::Event, Some(events)) => process_receptions_checkpointed(
+                BATCH_PER_WORKER,
+            )
+            .run_to_end(),
+            Some(events) => process_receptions_checkpointed(
                 &self.env,
                 &self.cfg,
                 &self.timeline,
@@ -111,34 +104,6 @@ impl CapacityRun {
                 self.threads,
                 events,
             ),
-            (Driver::Timestep, None) => {
-                process_receptions_timestep(&self.env, &self.cfg, &self.timeline, arm, self.threads)
-            }
-            (Driver::Timestep, Some(events)) => {
-                // The checkpoint is always taken by the event core (the
-                // timestep loop has no event counter); the *resume*
-                // runs the time-stepped reference — cross-driver resume
-                // in one run.
-                let bytes = snapshot_after_events(
-                    &self.env,
-                    &self.cfg,
-                    &self.timeline,
-                    arm,
-                    self.threads,
-                    events,
-                );
-                let snap =
-                    RxSnapshot::from_bytes(&bytes).expect("reception snapshot bytes round-trip");
-                resume_receptions_timestep(
-                    &self.env,
-                    &self.cfg,
-                    &self.timeline,
-                    arm,
-                    &snap,
-                    self.threads,
-                )
-                .expect("reception snapshot resumes against its own run")
-            }
         }
     }
 }

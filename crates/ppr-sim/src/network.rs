@@ -22,14 +22,14 @@
 //! *identical* channel noise — the paper's "same trace, post-processed"
 //! methodology.
 //!
-//! Both stages now run over the discrete-event core ([`crate::event`]):
-//! the timeline generator schedules arrival/attempt events, and
+//! Both stages run over the discrete-event core ([`crate::event`]): the
+//! timeline generator schedules arrival/attempt events, and
 //! [`process_receptions`] drives transmission-start / reception-complete
-//! events through a [`crate::event::BinaryHeapQueue`]. The legacy
-//! implementations are kept verbatim as pinned references —
-//! [`generate_timeline_reference`] (the inline heap) and
-//! [`process_receptions_timestep`] (the time-stepped batch loop) — and
-//! `tests/event_parity.rs` holds all of them bit-identical.
+//! events through a [`crate::event::BinaryHeapQueue`]. Each stage keeps
+//! one pinned reference — [`generate_timeline_reference`] (the legacy
+//! inline heap) and [`process_receptions_reference`] (the sequential
+//! `&[bool]` executable specification) — and `tests/event_parity.rs`
+//! holds each pair bit-identical.
 //!
 //! ## Determinism contract of the parallel reception loop
 //!
@@ -593,7 +593,7 @@ pub(crate) fn fan_out<J: Sync, T: Send>(
 
 /// Default prepare/decode batch size per worker: each in-flight batch
 /// holds `workers × BATCH_PER_WORKER` prepared captures. Swept in
-/// `bench_packed` (schema v5 `..._b{4,8,16,32}` rows); 8 stays the
+/// `bench_packed` (the `recv_event_b{4,8,16,32}` rows); 8 stays the
 /// default — the sweep is flat within noise on the measured hardware,
 /// and 8 keeps peak memory lowest (see docs/PERF.md).
 pub const BATCH_PER_WORKER: usize = 8;
@@ -605,47 +605,17 @@ pub const BATCH_PER_WORKER: usize = 8;
 /// `(time, priority, seq)` order), chip streams are bit-packed
 /// [`ChipWords`] end to end, and per-(transmission, receiver) work runs
 /// on scoped worker threads (see the module docs for the determinism
-/// contract). Output is bit-identical to both the time-stepped batch
-/// loop ([`process_receptions_timestep`]) and the sequential reference
-/// ([`process_receptions_reference`]).
+/// contract). Output is bit-identical to the sequential reference
+/// ([`process_receptions_reference`]). For an explicit worker count or
+/// batch size, call [`ReceptionDriver::new`] and
+/// [`ReceptionDriver::run_to_end`] directly.
 pub fn process_receptions(
     env: &RadioEnv,
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
 ) -> Vec<Reception> {
-    process_receptions_with_workers(env, cfg, timeline, arm, None)
-}
-
-/// [`process_receptions`] with an explicit worker count (`None` = the
-/// `PPR_THREADS`/available-parallelism default). Public so the parity
-/// harness can exercise the threaded fan-out deterministically even on
-/// single-core machines, where the default would fall back to the
-/// inline path.
-pub fn process_receptions_with_workers(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
-    workers: Option<usize>,
-) -> Vec<Reception> {
-    process_receptions_tuned(env, cfg, timeline, arm, workers, BATCH_PER_WORKER)
-}
-
-/// The event-driven reception driver with every knob exposed: worker
-/// count and per-worker batch length (the `bench_packed` tuning
-/// surface). Results are invariant to both knobs — they only move work
-/// between batches, never reorder the sequential busy/idle fold or the
-/// output slots.
-pub fn process_receptions_tuned(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
-    workers: Option<usize>,
-    batch_per_worker: usize,
-) -> Vec<Reception> {
-    ReceptionDriver::new(env, cfg, timeline, arm, workers, batch_per_worker).run_to_end()
+    ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER).run_to_end()
 }
 
 /// [`process_receptions`] with a checkpoint in the middle: the run is
@@ -739,8 +709,12 @@ pub struct ReceptionDriver<'a> {
 
 impl<'a> ReceptionDriver<'a> {
     /// Builds a driver at event zero (nothing dispatched, the full
-    /// timeline scheduled). `workers`/`batch_per_worker` are the
-    /// [`process_receptions_tuned`] knobs.
+    /// timeline scheduled). `workers` is the worker-thread count (`None`
+    /// = the `PPR_THREADS`/available-parallelism default) and
+    /// `batch_per_worker` the per-worker prepare/decode batch length;
+    /// results are invariant to both — they only move work between
+    /// batches, never reorder the sequential busy/idle fold or the
+    /// output slots.
     pub fn new(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
@@ -812,8 +786,7 @@ impl<'a> ReceptionDriver<'a> {
             next_slot,
             // Captures awaiting their completion event, keyed by output
             // slot. Bounded by what is actually on the air plus one
-            // batch — the event-driven analogue of the time-stepped
-            // loop's batch bound.
+            // batch.
             in_flight: BTreeMap::new(),
             prep_batch: Vec::with_capacity(batch_len),
             decode_batch: Vec::with_capacity(batch_len),
@@ -972,8 +945,9 @@ impl<'a> ReceptionDriver<'a> {
     }
 
     /// Rebuilds a driver from a checkpoint, validating the snapshot's
-    /// identity fields against the run inputs and reconstructing every
-    /// in-flight capture from its stored RNG stream position.
+    /// identity fields and progress tables against the run inputs and
+    /// reconstructing every in-flight capture from its stored RNG
+    /// stream position.
     pub fn restore(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
@@ -984,26 +958,26 @@ impl<'a> ReceptionDriver<'a> {
         snap: &RxSnapshot,
     ) -> Result<Self, SnapError> {
         validate_rx_identity(env, cfg, timeline, arm, snap)?;
+        validate_rx_progress(env, timeline, snap)?;
         let mut driver = ReceptionDriver::new(env, cfg, timeline, arm, workers, batch_per_worker);
         let nr = env.testbed.receivers.len();
         let total_jobs = driver.out.len();
-        if snap.busy_until.len() != nr || snap.next_slot.len() != nr {
+        if snap.next_slot.len() != nr {
             return Err(SnapError::Corrupt(format!(
-                "per-receiver tables sized {}/{} for {nr} receivers",
-                snap.busy_until.len(),
+                "{} next-slot counters for {nr} receivers",
                 snap.next_slot.len()
             )));
         }
-        if snap.out.len() != total_jobs {
-            return Err(SnapError::Corrupt(format!(
-                "slot table holds {} slots, run inputs produce {total_jobs}",
-                snap.out.len()
-            )));
-        }
+        // Every pending completion must name exactly one in-flight
+        // capture, and every capture must await one: otherwise the
+        // resumed run would pop a completion with nothing to decode, or
+        // leave a slot undecoded.
+        let mut completions = Vec::new();
         for (key, ev) in &snap.queue {
             let ok = match *ev {
                 SimEvent::TxStart { tx } => tx < timeline.len(),
                 SimEvent::ReceptionComplete { tx, receiver, slot } => {
+                    completions.push((slot, receiver, tx));
                     tx < timeline.len() && receiver < nr && slot < total_jobs
                 }
                 _ => false,
@@ -1014,13 +988,17 @@ impl<'a> ReceptionDriver<'a> {
                 )));
             }
         }
-        for f in &snap.in_flight {
-            if f.receiver >= nr || f.tx_index >= timeline.len() || f.slot >= total_jobs {
-                return Err(SnapError::Corrupt(format!(
-                    "in-flight capture ({}, {}, {}) out of bounds",
-                    f.receiver, f.tx_index, f.slot
-                )));
-            }
+        let mut captures: Vec<(usize, usize, usize)> = snap
+            .in_flight
+            .iter()
+            .map(|f| (f.slot, f.receiver, f.tx_index))
+            .collect();
+        completions.sort_unstable();
+        captures.sort_unstable();
+        if completions != captures {
+            return Err(SnapError::Corrupt(
+                "pending completion events do not match the in-flight captures".into(),
+            ));
         }
         driver.q = BinaryHeapQueue::from_state(snap.queue.clone(), snap.next_seq, snap.dispatched);
         driver.busy_until = snap.busy_until.clone();
@@ -1091,189 +1069,71 @@ fn validate_rx_identity(
     Ok(())
 }
 
-/// The time-stepped batch loop that was the production path before the
-/// event core (PR 2–7), kept as a pinned reference for driver parity
-/// (`tests/event_parity.rs`) and selectable via the scenario
-/// `driver=timestep` axis: it walks the receiver-major job list in
-/// fixed-size batches with no event queue at all.
-pub fn process_receptions_timestep(
+/// Rejects a snapshot whose progress does not fit the run's job table —
+/// the receiver-major `(receiver, timeline index)` list whose positions
+/// are the output slots every resume leg fills. The busy horizons and
+/// the slot table must be sized for the run, and every in-flight
+/// capture must sit at a slot inside the table that is not decoded
+/// already and holds exactly the capture's `(receiver, transmission)`
+/// job, once.
+fn validate_rx_progress(
     env: &RadioEnv,
-    cfg: &SimConfig,
     timeline: &[Transmission],
-    arm: &RxArm,
-    workers: Option<usize>,
-) -> Vec<Reception> {
-    let pipe = RxPipeline::new(env, cfg, timeline, arm);
-    let nr = env.testbed.receivers.len();
-
-    // Job list in the reference evaluation order: receiver-major, then
-    // timeline order. Below-squelch links never acquire; skip them here
-    // exactly as the reference loop does.
-    let mut jobs: Vec<RxJob> = (0..nr)
-        .flat_map(|r| {
-            timeline
-                .iter()
-                .enumerate()
-                .filter(move |(_, tx)| env.s2r_mw[tx.sender][r] / pipe.noise >= SQUELCH_SNR)
-                .map(move |(idx, _)| RxJob { r, idx, slot: 0 })
-        })
-        .collect();
-    for (i, job) in jobs.iter_mut().enumerate() {
-        job.slot = i;
-    }
-
-    let workers = workers
-        .unwrap_or_else(|| worker_threads(jobs.len()))
-        .clamp(1, jobs.len().max(1));
-
-    // Batches bound peak memory: each prepared job holds a full packed
-    // capture (~12 KB at 1500 B bodies), so only workers ×
-    // BATCH_PER_WORKER of them are alive at once. Phase B — the
-    // busy/idle chain — is the cheap sequential seam between the two
-    // parallel phases.
-    let mut out: Vec<Reception> = Vec::with_capacity(jobs.len());
-    let mut busy_until = vec![0u64; nr];
-    let batch_len = workers * BATCH_PER_WORKER;
-    for batch in jobs.chunks(batch_len.max(1)) {
-        let prepared = fan_out(workers, batch, |j| pipe.prepare(j));
-        let resolved: Vec<(RxJob, PreparedRx, bool)> = batch
-            .iter()
-            .zip(prepared)
-            .map(|(&job, prep)| {
-                let tx = &timeline[job.idx];
-                let idle = busy_until[job.r] <= tx.start_chip;
-                if idle && prep.pre_hit {
-                    busy_until[job.r] = tx.end_chip();
-                }
-                (job, prep, idle)
-            })
-            .collect();
-        out.extend(fan_out(workers, &resolved, |(job, prep, idle)| {
-            pipe.finish(job, prep, *idle)
-        }));
-    }
-    out
-}
-
-/// A reception job paired with its snapshot capture, when the
-/// checkpoint caught it in flight: the stored RNG stream words and the
-/// already-resolved busy/idle verdict.
-type ResumeJob = (RxJob, Option<([u64; 4], bool)>);
-
-/// Completes a checkpointed run under the *time-stepped* driver: walks
-/// the receiver-major job list in fixed-size batches, copying slots the
-/// snapshot already decoded, replaying in-flight captures from their
-/// stored RNG stream positions (with the busy/idle verdict the snapshot
-/// resolved), and evaluating everything else exactly as
-/// [`process_receptions_timestep`] would — continuing each receiver's
-/// busy fold from the snapshot's horizon. The differential harness
-/// ([`crate::diff`]) holds this bit-identical to the event driver's
-/// resume.
-pub fn resume_receptions_timestep(
-    env: &RadioEnv,
-    cfg: &SimConfig,
-    timeline: &[Transmission],
-    arm: &RxArm,
     snap: &RxSnapshot,
-    workers: Option<usize>,
-) -> Result<Vec<Reception>, SnapError> {
-    validate_rx_identity(env, cfg, timeline, arm, snap)?;
-    let pipe = RxPipeline::new(env, cfg, timeline, arm);
+) -> Result<(), SnapError> {
     let nr = env.testbed.receivers.len();
-
-    let mut jobs: Vec<RxJob> = (0..nr)
+    if snap.busy_until.len() != nr {
+        return Err(SnapError::Corrupt(format!(
+            "{} busy horizons for {nr} receivers",
+            snap.busy_until.len()
+        )));
+    }
+    let noise = env.model.noise_mw();
+    let jobs: Vec<(usize, usize)> = (0..nr)
         .flat_map(|r| {
             timeline
                 .iter()
                 .enumerate()
-                .filter(move |(_, tx)| env.s2r_mw[tx.sender][r] / pipe.noise >= SQUELCH_SNR)
-                .map(move |(idx, _)| RxJob { r, idx, slot: 0 })
+                .filter(move |(_, tx)| env.s2r_mw[tx.sender][r] / noise >= SQUELCH_SNR)
+                .map(move |(idx, _)| (r, idx))
         })
         .collect();
-    for (i, job) in jobs.iter_mut().enumerate() {
-        job.slot = i;
-    }
-
-    if snap.out.len() != jobs.len() || snap.busy_until.len() != nr {
+    if snap.out.len() != jobs.len() {
         return Err(SnapError::Corrupt(format!(
-            "slot table holds {} slots / {} horizons, run inputs produce {} / {nr}",
+            "slot table holds {} slots, run inputs produce {}",
             snap.out.len(),
-            snap.busy_until.len(),
             jobs.len()
         )));
     }
-    let mut inflight: BTreeMap<usize, &InFlightRx> = BTreeMap::new();
+    let mut seen = vec![false; jobs.len()];
     for f in &snap.in_flight {
-        let job = jobs.get(f.slot).ok_or_else(|| {
-            SnapError::Corrupt(format!(
-                "in-flight capture at slot {} out of bounds",
-                f.slot
-            ))
-        })?;
-        if job.r != f.receiver || job.idx != f.tx_index {
+        let Some(&(r, idx)) = jobs.get(f.slot) else {
+            return Err(SnapError::Corrupt(format!(
+                "in-flight capture at slot {} outside the {}-slot table",
+                f.slot,
+                jobs.len()
+            )));
+        };
+        if (r, idx) != (f.receiver, f.tx_index) {
             return Err(SnapError::IdentityMismatch(format!(
-                "in-flight capture ({}, {}) at slot {} does not match the job table",
+                "in-flight capture ({}, {}) at slot {} does not match the job table ({r}, {idx})",
                 f.receiver, f.tx_index, f.slot
             )));
         }
-        inflight.insert(f.slot, f);
-    }
-
-    let workers = workers
-        .unwrap_or_else(|| worker_threads(jobs.len()))
-        .clamp(1, jobs.len().max(1));
-    let batch_len = (workers * BATCH_PER_WORKER).max(1);
-
-    let mut out: Vec<Option<Reception>> = snap.out.clone();
-    let mut busy = snap.busy_until.clone();
-    let todo: Vec<ResumeJob> = jobs
-        .iter()
-        .filter(|j| out[j.slot].is_none())
-        .map(|&j| (j, inflight.get(&j.slot).map(|f| (f.rng, f.idle))))
-        .collect();
-    for batch in todo.chunks(batch_len) {
-        let prepared = fan_out(workers, batch, |(job, src)| match src {
-            Some((rng, _)) => pipe.prepare_with(job, StdRng::from_state(*rng)),
-            None => pipe.prepare(job),
-        });
-        let resolved: Vec<(RxJob, PreparedRx, bool)> = batch
-            .iter()
-            .zip(prepared)
-            .map(|(&(job, src), prep)| {
-                let idle = match src {
-                    // The snapshot resolved (and folded) this verdict
-                    // before the checkpoint.
-                    Some((_, idle)) => idle,
-                    None => {
-                        let tx = &timeline[job.idx];
-                        let idle = busy[job.r] <= tx.start_chip;
-                        if idle && prep.pre_hit {
-                            busy[job.r] = tx.end_chip();
-                        }
-                        idle
-                    }
-                };
-                (job, prep, idle)
-            })
-            .collect();
-        let done = fan_out(workers, &resolved, |(job, prep, idle)| {
-            pipe.finish(job, prep, *idle)
-        });
-        for ((job, _, _), rec) in resolved.iter().zip(done) {
-            out[job.slot] = Some(rec);
+        if snap.out[f.slot].is_some() || std::mem::replace(&mut seen[f.slot], true) {
+            return Err(SnapError::Corrupt(format!(
+                "in-flight capture at slot {} is already decoded or captured",
+                f.slot
+            )));
         }
     }
-    Ok(out
-        .into_iter()
-        .map(|r| r.expect("every slot decoded on resume"))
-        .collect())
+    Ok(())
 }
 
 /// Completes a checkpointed run under the sequential `&[bool]`
-/// *reference* implementation — the executable specification — with the
-/// same slot semantics as [`resume_receptions_timestep`]. This is the
-/// strongest leg of the differential harness: a restored snapshot must
-/// finish identically under the packed SIMD pipeline and the plain
+/// *reference* implementation — the executable specification. This is
+/// the strongest leg of the differential harness: a restored snapshot
+/// must finish identically under the packed SIMD pipeline and the plain
 /// bool-vector spec.
 pub fn resume_receptions_reference(
     env: &RadioEnv,
@@ -1283,138 +1143,22 @@ pub fn resume_receptions_reference(
     snap: &RxSnapshot,
 ) -> Result<Vec<Reception>, SnapError> {
     validate_rx_identity(env, cfg, timeline, arm, snap)?;
-    let fast = FastRx::new(arm.postamble);
-    let noise = env.model.noise_mw();
-    let payload_len = arm.scheme.payload_len(cfg.body_bytes);
-    let nr = env.testbed.receivers.len();
-    if snap.busy_until.len() != nr {
-        return Err(SnapError::Corrupt(format!(
-            "{} busy horizons for {nr} receivers",
-            snap.busy_until.len()
-        )));
-    }
-    let inflight: BTreeMap<usize, &InFlightRx> =
-        snap.in_flight.iter().map(|f| (f.slot, f)).collect();
-
-    let mut out = Vec::with_capacity(snap.out.len());
-    let mut slot = 0usize;
-    for r in 0..nr {
-        let heard: Vec<HeardTx> = timeline
-            .iter()
-            .map(|tx| HeardTx {
-                id: tx.id,
-                start_chip: tx.start_chip,
-                len_chips: tx.len_chips,
-                power_mw: env.s2r_mw[tx.sender][r],
-            })
-            .collect();
-
-        let mut busy_until = snap.busy_until[r];
-        for (i, tx) in timeline.iter().enumerate() {
-            let signal = env.s2r_mw[tx.sender][r];
-            if signal / noise < SQUELCH_SNR {
-                continue;
-            }
-            let this_slot = slot;
-            slot += 1;
-            match snap.out.get(this_slot) {
-                Some(Some(rec)) => {
-                    out.push(rec.clone());
-                    continue;
-                }
-                Some(None) => {}
-                None => {
-                    return Err(SnapError::Corrupt(format!(
-                        "slot table holds {} slots, run inputs produce more",
-                        snap.out.len()
-                    )));
-                }
-            }
-
-            let payload = payload_pattern(tx.sender, tx.seq, payload_len);
-            let body = build_body_padded(&arm.scheme, &payload, cfg.body_bytes);
-            let frame = Frame::new(r as u16, tx.sender as u16, tx.seq, body.clone());
-            let chips = frame.chips();
-            let profile_spans = interference_profile(&heard[i], &heard);
-            let profile = ErrorProfile::from_interference(signal, noise, &profile_spans);
-
-            let resolved_idle = match inflight.get(&this_slot) {
-                Some(f) => {
-                    if f.receiver != r || f.tx_index != i {
-                        return Err(SnapError::IdentityMismatch(format!(
-                            "in-flight capture ({}, {}) at slot {this_slot} does not match \
-                             the job table",
-                            f.receiver, f.tx_index
-                        )));
-                    }
-                    Some((f.rng, f.idle))
-                }
-                None => None,
-            };
-            let mut rng = match resolved_idle {
-                Some((state, _)) => StdRng::from_state(state),
-                None => StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, r)),
-            };
-            let corrupted = corrupt_chips(&chips, &profile, &mut rng);
-            let idle = match resolved_idle {
-                Some((_, idle)) => idle,
-                None => busy_until <= tx.start_chip,
-            };
-            let (acq, rx_frame) = fast.receive(&frame, &corrupted, idle);
-            // The snapshot already folded in-flight verdicts into the
-            // busy horizon; only fresh evaluations advance it here.
-            if resolved_idle.is_none() && acq == Acquisition::Preamble {
-                busy_until = tx.end_chip();
-            }
-
-            let mut rec = Reception {
-                tx_id: tx.id,
-                sender: tx.sender,
-                receiver: r,
-                acquisition: acq,
-                payload_len,
-                delivered_correct: 0,
-                delivered_claimed: 0,
-                crc_ok: false,
-                symbol_hints: Vec::new(),
-                symbol_correct: Vec::new(),
-            };
-            if let Some(rx) = rx_frame {
-                rec.crc_ok = rx.pkt_crc_ok();
-                let delivered = arm.scheme.deliver(&rx);
-                rec.delivered_claimed = delivered.iter().map(|d| d.bytes.len()).sum();
-                rec.delivered_correct = correct_delivered_bytes(&delivered, &payload);
-                if arm.collect_symbols {
-                    if let (Some(hints), Some(g)) = (rx.body_symbol_hints(), rx.geometry()) {
-                        let tx_symbols = bytes_to_symbols(&body);
-                        let body_range = g.body();
-                        let rx_syms =
-                            rx.link_symbol_range(body_range.start * 2..body_range.end * 2);
-                        rec.symbol_correct = rx_syms
-                            .iter()
-                            .zip(&tx_symbols)
-                            .map(|(a, b)| a.symbol == *b)
-                            .collect();
-                        rec.symbol_hints = hints;
-                    }
-                }
-            }
-            out.push(rec);
-        }
-    }
-    if slot != snap.out.len() {
-        return Err(SnapError::Corrupt(format!(
-            "slot table holds {} slots, run inputs produce {slot}",
-            snap.out.len()
-        )));
-    }
-    Ok(out)
+    validate_rx_progress(env, timeline, snap)?;
+    Ok(reference_receptions(
+        env,
+        cfg,
+        timeline,
+        arm,
+        &snap.busy_until,
+        &snap.out,
+        &snap.in_flight,
+    ))
 }
 
-/// The shared per-(transmission, receiver) pipeline stages: everything
-/// both reception drivers do identically, so driver parity is about
-/// *orchestration* (event order, batching, slots) and never about the
-/// physics.
+/// The per-(transmission, receiver) pipeline stages of the event
+/// driver: phase A ([`RxPipeline::prepare`]) runs in parallel batches,
+/// the busy/idle fold runs sequentially in event order, and phase C
+/// ([`RxPipeline::finish`]) decodes in parallel batches again.
 struct RxPipeline<'a> {
     env: &'a RadioEnv,
     cfg: &'a SimConfig,
@@ -1538,20 +1282,44 @@ pub(crate) fn reception_rng_seed(seed: u64, tx_id: u64, receiver: usize) -> u64 
 
 /// Sequential `&[bool]` reference implementation of
 /// [`process_receptions`] — the executable specification the packed
-/// parallel path is tested against (`tests/packed_parity.rs`). Kept
-/// simple on purpose; use [`process_receptions`] everywhere else.
+/// event driver is tested against (`tests/packed_parity.rs`,
+/// `tests/event_parity.rs`). Kept simple on purpose; use
+/// [`process_receptions`] everywhere else. A fresh run is a resume from
+/// the empty state (idle receivers, nothing decoded or in flight), so
+/// it shares its one loop with [`resume_receptions_reference`].
 pub fn process_receptions_reference(
     env: &RadioEnv,
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
 ) -> Vec<Reception> {
+    let idle = vec![0u64; env.testbed.receivers.len()];
+    reference_receptions(env, cfg, timeline, arm, &idle, &[], &[])
+}
+
+/// The reference loop: walks the receiver-major job table in order,
+/// copying slots already `decoded`, replaying `in_flight` captures from
+/// their stored RNG stream position with the busy/idle verdict resolved
+/// before the checkpoint, and evaluating every other job from scratch —
+/// continuing each receiver's busy fold from its `busy_from` horizon.
+/// Callers validate resume state first ([`validate_rx_progress`]).
+fn reference_receptions(
+    env: &RadioEnv,
+    cfg: &SimConfig,
+    timeline: &[Transmission],
+    arm: &RxArm,
+    busy_from: &[u64],
+    decoded: &[Option<Reception>],
+    in_flight: &[InFlightRx],
+) -> Vec<Reception> {
     let fast = FastRx::new(arm.postamble);
     let noise = env.model.noise_mw();
     let payload_len = arm.scheme.payload_len(cfg.body_bytes);
+    let in_flight: BTreeMap<usize, &InFlightRx> = in_flight.iter().map(|f| (f.slot, f)).collect();
     let mut out = Vec::new();
 
-    for r in 0..env.testbed.receivers.len() {
+    // One busy horizon per receiver (validated on resume).
+    for (r, &busy_from) in busy_from.iter().enumerate() {
         // Everything on the air contributes interference at r.
         let heard: Vec<HeardTx> = timeline
             .iter()
@@ -1563,13 +1331,18 @@ pub fn process_receptions_reference(
             })
             .collect();
 
-        let mut busy_until = 0u64;
+        let mut busy_until = busy_from;
         for (i, tx) in timeline.iter().enumerate() {
             let signal = env.s2r_mw[tx.sender][r];
             // Below the sensitivity squelch the radio never acquires;
             // skip (the transmission still interferes with others via
             // `heard`).
             if signal / noise < SQUELCH_SNR {
+                continue;
+            }
+            let slot = out.len();
+            if let Some(Some(rec)) = decoded.get(slot) {
+                out.push(rec.clone());
                 continue;
             }
 
@@ -1581,12 +1354,21 @@ pub fn process_receptions_reference(
             // Interference profile over this frame at this receiver.
             let profile_spans = interference_profile(&heard[i], &heard);
             let profile = ErrorProfile::from_interference(signal, noise, &profile_spans);
-            let mut rng = StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, r));
+            let captured = in_flight.get(&slot);
+            let mut rng = match captured {
+                Some(f) => StdRng::from_state(f.rng),
+                None => StdRng::seed_from_u64(reception_rng_seed(cfg.seed, tx.id, r)),
+            };
             let corrupted = corrupt_chips(&chips, &profile, &mut rng);
 
-            let idle = busy_until <= tx.start_chip;
+            let idle = match captured {
+                Some(f) => f.idle,
+                None => busy_until <= tx.start_chip,
+            };
             let (acq, rx_frame) = fast.receive(&frame, &corrupted, idle);
-            if acq == Acquisition::Preamble {
+            // A checkpoint already folded its in-flight verdicts into the
+            // busy horizon; only fresh evaluations advance it here.
+            if captured.is_none() && acq == Acquisition::Preamble {
                 busy_until = tx.end_chip();
             }
 

@@ -176,28 +176,6 @@ impl Topology {
     }
 }
 
-/// Which reception driver a capacity run uses: the event-driven core
-/// (production) or the pinned time-stepped reference loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Driver {
-    /// The discrete-event driver over [`crate::event`].
-    #[default]
-    Event,
-    /// The pre-event-core time-stepped batch loop
-    /// ([`crate::network::process_receptions_timestep`]).
-    Timestep,
-}
-
-impl Driver {
-    /// The CLI/JSON name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Driver::Event => "event",
-            Driver::Timestep => "timestep",
-        }
-    }
-}
-
 /// One fully-resolved experiment parameterization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -228,8 +206,6 @@ pub struct Scenario {
     pub carrier_sense: Option<bool>,
     /// Sender layout for the capacity experiments.
     pub topology: Topology,
-    /// Reception driver (event-driven vs time-stepped reference).
-    pub driver: Driver,
     /// Node count for the mesh flood experiment (`mesh10k`).
     pub mesh_nodes: usize,
     /// Expected neighbor count for the mesh / random-geometric layouts.
@@ -301,8 +277,9 @@ impl Scenario {
 
     /// JSON snapshot (embedded in every serialized result).
     ///
-    /// The PR 8 axes (`topology`, `driver`, `mesh_nodes`,
-    /// `mesh_density`) are emitted **only when non-default**: every
+    /// The axes added after the original set (`topology`, the mesh,
+    /// `checkpoint` and the adversary axes) are emitted **only when
+    /// non-default**: every
     /// pre-existing scenario renders byte-identically, so the golden
     /// registry fingerprint is untouched by their introduction.
     pub fn to_json(&self) -> Json {
@@ -339,9 +316,6 @@ impl Scenario {
         ];
         if self.topology != Topology::Fig7 {
             fields.push(("topology".into(), Json::str(self.topology.name())));
-        }
-        if self.driver != Driver::Event {
-            fields.push(("driver".into(), Json::str(self.driver.name())));
         }
         if self.mesh_nodes != DEFAULT_MESH_NODES {
             fields.push(("mesh_nodes".into(), Json::int(self.mesh_nodes as u64)));
@@ -384,7 +358,6 @@ pub struct ScenarioBuilder {
     load_kbps: Option<f64>,
     carrier_sense: Option<bool>,
     topology: Option<Topology>,
-    driver: Option<Driver>,
     mesh_nodes: Option<usize>,
     mesh_density: Option<f64>,
     checkpoint: Option<u64>,
@@ -418,7 +391,6 @@ pub const SCENARIO_KEYS: &[(&str, &str)] = &[
         "topology",
         "fig7 | grid:CxR | rg:SEED:DENSITY, e.g. topology=grid:6x4",
     ),
-    ("driver", "event | timestep, e.g. driver=event"),
     ("mesh_nodes", "mesh node count >= 2, e.g. mesh_nodes=10000"),
     (
         "mesh_density",
@@ -522,12 +494,6 @@ impl ScenarioBuilder {
     /// Sets the sender layout.
     pub fn topology(mut self, v: Topology) -> Self {
         self.topology = Some(v);
-        self
-    }
-
-    /// Sets the reception driver.
-    pub fn driver(mut self, v: Driver) -> Self {
-        self.driver = Some(v);
         self
     }
 
@@ -652,17 +618,6 @@ impl ScenarioBuilder {
             "topology" => {
                 self.topology = Some(Topology::parse(value).map_err(|e| format!("topology: {e}"))?)
             }
-            "driver" => {
-                self.driver = Some(match value.trim() {
-                    "event" => Driver::Event,
-                    "timestep" => Driver::Timestep,
-                    _ => {
-                        return Err(format!(
-                            "invalid value {value:?} for driver (want event | timestep)"
-                        ))
-                    }
-                });
-            }
             "mesh_nodes" => {
                 let v = parse_positive(key, value)?;
                 if v < 2 {
@@ -749,7 +704,6 @@ impl ScenarioBuilder {
             load_kbps: self.load_kbps,
             carrier_sense: self.carrier_sense,
             topology: self.topology.unwrap_or_default(),
-            driver: self.driver.unwrap_or_default(),
             mesh_nodes: self.mesh_nodes.unwrap_or(DEFAULT_MESH_NODES),
             mesh_density: self.mesh_density.unwrap_or(DEFAULT_MESH_DENSITY),
             checkpoint: self.checkpoint,
@@ -847,7 +801,6 @@ mod tests {
             ("topology", "donut"),
             ("topology", "grid:0x3"),
             ("topology", "rg:7"),
-            ("driver", "warp"),
             ("mesh_nodes", "1"),
             ("mesh_density", "0"),
             ("checkpoint", "0"),
@@ -867,6 +820,8 @@ mod tests {
             );
         }
         assert!(b.set("bogus", "1").unwrap_err().contains("valid keys"));
+        // The retired reception-driver axis is an unknown key now.
+        assert!(b.set("driver", "event").unwrap_err().contains("unknown"));
     }
 
     #[test]
@@ -907,12 +862,11 @@ mod tests {
     #[test]
     fn new_axes_stay_out_of_default_json() {
         // Fingerprint safety: a default scenario must render exactly as
-        // it did before the topology/driver/mesh axes existed.
+        // it did before the topology/mesh axes existed.
         let sc = ScenarioBuilder::new().duration_s(2.0).build();
         let j = sc.to_json().render();
         assert!(
             !j.contains("topology")
-                && !j.contains("driver")
                 && !j.contains("mesh")
                 && !j.contains("checkpoint")
                 && !j.contains("jammer")
@@ -923,7 +877,6 @@ mod tests {
         );
         let mut b = ScenarioBuilder::new();
         b.set("topology", "grid:6x4").unwrap();
-        b.set("driver", "timestep").unwrap();
         b.set("mesh_nodes", "400").unwrap();
         b.set("mesh_density", "9").unwrap();
         b.set("checkpoint", "1000").unwrap();
@@ -933,7 +886,6 @@ mod tests {
         b.set("arq_backoff", "1.5").unwrap();
         let j = b.build().to_json().render();
         assert!(j.contains(r#""topology":"grid:6x4""#), "{j}");
-        assert!(j.contains(r#""driver":"timestep""#), "{j}");
         assert!(j.contains(r#""mesh_nodes":400"#), "{j}");
         assert!(j.contains(r#""mesh_density":9"#), "{j}");
         assert!(j.contains(r#""checkpoint":1000"#), "{j}");

@@ -152,7 +152,7 @@ fn perturbed_rng_stream_bisects_to_the_exact_event() {
 }
 
 #[test]
-fn timestep_and_reference_backends_see_the_perturbation_too() {
+fn event_and_reference_backends_see_the_perturbation_too() {
     // The bisect verdict must not depend on which backend replays the
     // tampered snapshot: all of them derive the reception's chip errors
     // from the same serialized stream state.

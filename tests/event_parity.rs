@@ -1,16 +1,16 @@
 //! Event-core parity: the discrete-event drivers must be bit-identical
-//! to the pinned time-stepped references, for every tuning knob.
+//! to their pinned references, for every tuning knob.
 //!
-//! Three layers of the claim:
+//! Two layers of the claim:
 //!
 //! 1. **Timeline** — [`generate_timeline`] (event queue) vs
 //!    [`generate_timeline_reference`] (the original per-sender merge).
-//! 2. **Reception loop** — [`process_receptions_tuned`] (event queue +
-//!    batched fan-out) vs [`process_receptions_timestep`] (the original
-//!    time-stepped loop), across worker counts *and* batch sizes: the
-//!    [`Reception`] stream may depend on neither.
-//! 3. **Experiments** — every registry entry renders the same report
-//!    under `driver=event` and `driver=timestep`.
+//! 2. **Reception loop** — [`ReceptionDriver`] (event queue + batched
+//!    fan-out) vs [`process_receptions_reference`] (the sequential
+//!    `&[bool]` specification), across worker counts *and* batch sizes:
+//!    the reception stream may depend on neither.
+//!
+//! Plus mesh resume inside a decode-flush window.
 //!
 //! Plus the spatial-index soundness property: the uniform grid's
 //! candidate set is a superset of every link the propagation model can
@@ -18,13 +18,11 @@
 
 use ppr::channel::pathloss::PathLossModel;
 use ppr::mac::schemes::DeliveryScheme;
-use ppr::sim::experiments::registry;
 use ppr::sim::geometry::{Point, Testbed};
 use ppr::sim::network::{
-    generate_timeline, generate_timeline_reference, office_model, process_receptions_timestep,
-    process_receptions_tuned, RadioEnv, RxArm, SimConfig,
+    generate_timeline, generate_timeline_reference, office_model, process_receptions_reference,
+    RadioEnv, ReceptionDriver, RxArm, SimConfig,
 };
-use ppr::sim::scenario::{Driver, ScenarioBuilder};
 use ppr::sim::spatial::SpatialIndex;
 use proptest::prelude::*;
 
@@ -65,43 +63,21 @@ fn reception_loop_is_invariant_to_workers_and_batch() {
         collect_symbols: false,
     };
 
-    let reference = process_receptions_timestep(&env, &c, &timeline, &arm, Some(1));
+    let reference = process_receptions_reference(&env, &c, &timeline, &arm);
     assert!(!reference.is_empty());
-    for workers in [1usize, 2, 4, 8] {
+    // workers=None resolves through PPR_THREADS / available parallelism
+    // — a worker count no explicit ladder rung covers (this is the
+    // default every experiment actually runs with).
+    for workers in [Some(1usize), Some(2), Some(4), Some(8), None] {
         for batch_per_worker in [1usize, 4, 8, 32] {
-            let got = process_receptions_tuned(
-                &env,
-                &c,
-                &timeline,
-                &arm,
-                Some(workers),
-                batch_per_worker,
-            );
+            let got = ReceptionDriver::new(&env, &c, &timeline, &arm, workers, batch_per_worker)
+                .run_to_end();
             assert_eq!(
                 got, reference,
-                "event driver diverged at workers={workers}, batch={batch_per_worker}"
+                "event driver diverged at workers={workers:?}, batch={batch_per_worker}"
             );
         }
     }
-    // And the time-stepped loop itself is worker-invariant.
-    let ts4 = process_receptions_timestep(&env, &c, &timeline, &arm, Some(4));
-    assert_eq!(ts4, reference);
-
-    // workers=None resolves through PPR_THREADS / available parallelism
-    // — a worker count no explicit ladder rung covers. The batch ladder
-    // must be invariant under it too (this is the default every
-    // experiment actually runs with).
-    for batch_per_worker in [1usize, 8, 32] {
-        let got = process_receptions_tuned(&env, &c, &timeline, &arm, None, batch_per_worker);
-        assert_eq!(
-            got, reference,
-            "event driver diverged at workers=None, batch={batch_per_worker}"
-        );
-    }
-    assert_eq!(
-        process_receptions_timestep(&env, &c, &timeline, &arm, None),
-        reference
-    );
 }
 
 #[test]
@@ -151,41 +127,6 @@ fn mesh_resume_inside_a_flush_window_is_bit_identical() {
             .expect("mid-flush snapshot restores")
             .run_to_end();
         assert_eq!(resumed, reference, "mid-flush resume diverged at {events}");
-    }
-}
-
-#[test]
-fn every_experiment_is_driver_invariant() {
-    // Short but complete pass over all 15 experiments under both
-    // drivers. `mesh10k` has no time-stepped path (it exists only on
-    // the event core) but runs under both scenario values all the same
-    // — the driver axis must not leak into it.
-    let build = |driver: Driver| {
-        ScenarioBuilder::new()
-            .duration_s(1.0)
-            .seed(0xD21)
-            .threads(1)
-            .arq_packets(10)
-            .relay_packets(15)
-            .mesh_nodes(300)
-            .driver(driver)
-            .build()
-    };
-    let (sc_event, sc_timestep) = (build(Driver::Event), build(Driver::Timestep));
-
-    let mut prior_e = Vec::new();
-    let mut prior_t = Vec::new();
-    for exp in registry() {
-        let re = exp.run_with(&sc_event, &prior_e);
-        let rt = exp.run_with(&sc_timestep, &prior_t);
-        assert_eq!(
-            re.render_text(),
-            rt.render_text(),
-            "driver changed the report of {}",
-            exp.id()
-        );
-        prior_e.push(re);
-        prior_t.push(rt);
     }
 }
 

@@ -17,8 +17,8 @@ use ppr::phy::chips::ChipWords;
 use ppr::phy::sync::SyncPattern;
 use ppr::phy::ChipReceiver;
 use ppr::sim::network::{
-    generate_timeline, process_receptions, process_receptions_reference,
-    process_receptions_with_workers, RadioEnv, RxArm, SimConfig,
+    generate_timeline, process_receptions, process_receptions_reference, RadioEnv, ReceptionDriver,
+    RxArm, SimConfig, BATCH_PER_WORKER,
 };
 use ppr::sim::FastRx;
 use proptest::prelude::*;
@@ -290,7 +290,8 @@ fn end_to_end_experiment_parity() {
         // the inline loop and leave the threaded branch untested.
         for workers in [2usize, 5] {
             let threaded =
-                process_receptions_with_workers(&env, &cfg, &timeline, arm, Some(workers));
+                ReceptionDriver::new(&env, &cfg, &timeline, arm, Some(workers), BATCH_PER_WORKER)
+                    .run_to_end();
             assert_eq!(reference, threaded, "{arm:?} workers={workers}");
         }
     }

@@ -3,10 +3,7 @@
 
 use ppr::channel::chip_channel::{corrupt_chips, ErrorProfile};
 use ppr::core::arq::{RetxPacket, Segment};
-use ppr::core::dp::{
-    plan_chunks, plan_chunks_brute, plan_chunks_interval, plan_chunks_monotone,
-    plan_chunks_quadratic, CostModel,
-};
+use ppr::core::dp::{plan_chunks, plan_chunks_brute, plan_chunks_interval, CostModel};
 use ppr::core::feedback::{complement_ranges, Feedback};
 use ppr::core::runs::{RunLengths, UnitRange};
 use ppr::mac::crc::{append_crc32, crc16, crc32, verify_crc32_trailer};
@@ -84,10 +81,9 @@ proptest! {
         }
     }
 
-    /// All planner implementations return *identical chunk vectors* (not
-    /// just equal costs) for arbitrary labelings: the `O(L²)` and `O(L)`
-    /// partition planners, and the production `plan_chunks`, against the
-    /// pinned `O(L³)` interval DP.
+    /// The production `O(L)` partition planner (`plan_chunks`) returns
+    /// *identical chunk vectors* (not just equal costs) to the pinned
+    /// `O(L³)` interval DP for arbitrary labelings.
     #[test]
     fn partition_planners_match_interval_dp(
         labels in proptest::collection::vec(any::<bool>(), 1..300),
@@ -95,17 +91,11 @@ proptest! {
         let rl = RunLengths::from_labels(&labels);
         let cost = CostModel::bytes(labels.len().max(16));
         let interval = plan_chunks_interval(&rl, &cost);
-        let quadratic = plan_chunks_quadratic(&rl, &cost);
-        let monotone = plan_chunks_monotone(&rl, &cost);
         let production = plan_chunks(&rl, &cost);
-        prop_assert_eq!(&quadratic.chunks, &interval.chunks, "quadratic chunks");
-        prop_assert_eq!(&monotone.chunks, &interval.chunks, "monotone chunks");
         prop_assert_eq!(&production.chunks, &interval.chunks, "plan_chunks chunks");
         let tol = 1e-9 * (1.0 + interval.cost_bits.abs());
-        prop_assert!((quadratic.cost_bits - interval.cost_bits).abs() <= tol,
-            "quadratic cost {} vs interval {}", quadratic.cost_bits, interval.cost_bits);
-        prop_assert!((monotone.cost_bits - interval.cost_bits).abs() <= tol,
-            "monotone cost {} vs interval {}", monotone.cost_bits, interval.cost_bits);
+        prop_assert!((production.cost_bits - interval.cost_bits).abs() <= tol,
+            "plan_chunks cost {} vs interval {}", production.cost_bits, interval.cost_bits);
     }
 
     /// Tie-pinning: under a dyadic cost model every atomic cost is an
@@ -135,12 +125,9 @@ proptest! {
             checksum_bits: 16.0,
         };
         let interval = plan_chunks_interval(&rl, &cost);
-        let quadratic = plan_chunks_quadratic(&rl, &cost);
-        let monotone = plan_chunks_monotone(&rl, &cost);
-        prop_assert_eq!(&quadratic.chunks, &interval.chunks, "quadratic ties");
+        let monotone = plan_chunks(&rl, &cost);
         prop_assert_eq!(&monotone.chunks, &interval.chunks, "monotone ties");
         // Costs are exact integers here: demand bit-equality.
-        prop_assert_eq!(quadratic.cost_bits, interval.cost_bits);
         prop_assert_eq!(monotone.cost_bits, interval.cost_bits);
         if rl.l() <= 14 {
             // Brute force scores in plain f64 (deliberately independent
@@ -377,14 +364,7 @@ fn partition_planners_match_interval_dp_at_large_l() {
             checksum_bits: 16.0,
         };
         let interval = plan_chunks_interval(&rl, &cost);
-        let quadratic = plan_chunks_quadratic(&rl, &cost);
-        let monotone = plan_chunks_monotone(&rl, &cost);
-        assert_eq!(
-            quadratic.chunks,
-            interval.chunks,
-            "quadratic L={} seed={seed:#x}",
-            rl.l()
-        );
+        let monotone = plan_chunks(&rl, &cost);
         assert_eq!(
             monotone.chunks,
             interval.chunks,
@@ -392,10 +372,8 @@ fn partition_planners_match_interval_dp_at_large_l() {
             rl.l()
         );
         let tol = 1e-9 * (1.0 + interval.cost_bits.abs());
-        assert!((quadratic.cost_bits - interval.cost_bits).abs() <= tol);
         assert!((monotone.cost_bits - interval.cost_bits).abs() <= tol);
         if dyadic {
-            assert_eq!(quadratic.cost_bits, interval.cost_bits, "dyadic exact");
             assert_eq!(monotone.cost_bits, interval.cost_bits, "dyadic exact");
         }
     }

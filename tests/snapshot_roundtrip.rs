@@ -8,21 +8,24 @@
 //!    uninterrupted event driver, property-tested across checkpoint
 //!    epochs, worker counts and loads.
 //! 2. **Experiments** — every registry entry renders the same report
-//!    with `checkpoint` set (under both drivers; the timestep driver
-//!    resumes an event-core snapshot, so this also pins cross-driver
-//!    resume).
+//!    with `checkpoint` set.
 //! 3. **The format itself** — a canonical snapshot's bytes are pinned
 //!    by fingerprint: any layout change must be deliberate and must
 //!    come with a `SNAPSHOT_VERSION` bump.
+//!
+//! Plus the rejection side: both resume legs (the event driver and the
+//! bool reference) refuse tampered or foreign snapshots with a
+//! [`SnapError`] instead of decoding the wrong state.
 
 use ppr::mac::schemes::DeliveryScheme;
 use ppr::sim::experiments::registry;
 use ppr::sim::network::{
-    generate_timeline, process_receptions_checkpointed, process_receptions_tuned,
-    snapshot_after_events, RadioEnv, RxArm, SimConfig,
+    generate_timeline, process_receptions_checkpointed, resume_receptions_reference,
+    snapshot_after_events, RadioEnv, Reception, ReceptionDriver, RxArm, SimConfig, Transmission,
+    BATCH_PER_WORKER,
 };
 use ppr::sim::results::fingerprint;
-use ppr::sim::scenario::{Driver, ScenarioBuilder};
+use ppr::sim::scenario::ScenarioBuilder;
 use ppr::sim::snapshot::{MeshSnapshot, RxSnapshot, SnapError, SNAPSHOT_VERSION};
 use proptest::prelude::*;
 
@@ -50,7 +53,7 @@ fn reception_checkpoint_is_bit_identical_at_every_epoch_class() {
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
     let arm = arm();
-    let reference = process_receptions_tuned(&env, &c, &timeline, &arm, Some(2), 8);
+    let reference = ReceptionDriver::new(&env, &c, &timeline, &arm, Some(2), 8).run_to_end();
     assert!(!reference.is_empty());
     // Epoch 0 (nothing dispatched), mid-run, and beyond the final event.
     for events in [0u64, 1, 17, 500, 5_000, u64::MAX] {
@@ -74,7 +77,7 @@ proptest! {
         let env = RadioEnv::new(c.seed);
         let timeline = generate_timeline(&env, &c);
         let arm = arm();
-        let reference = process_receptions_tuned(&env, &c, &timeline, &arm, Some(1), 1);
+        let reference = ReceptionDriver::new(&env, &c, &timeline, &arm, Some(1), 1).run_to_end();
         let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, Some(workers), events);
         prop_assert_eq!(got, reference);
     }
@@ -84,38 +87,34 @@ proptest! {
 fn every_experiment_is_checkpoint_invariant() {
     // Short but complete pass over all registry experiments: the
     // rendered report must not change when the run snapshots and
-    // resumes mid-flight, under either driver.
-    let build = |driver: Driver, checkpoint: Option<u64>| {
+    // resumes mid-flight.
+    let build = |checkpoint: Option<u64>| {
         let mut b = ScenarioBuilder::new()
             .duration_s(1.0)
             .seed(0xD21)
             .threads(1)
             .arq_packets(10)
             .relay_packets(15)
-            .mesh_nodes(300)
-            .driver(driver);
+            .mesh_nodes(300);
         if let Some(cp) = checkpoint {
             b = b.checkpoint(cp);
         }
         b.build()
     };
-    for driver in [Driver::Event, Driver::Timestep] {
-        let plain = build(driver, None);
-        let checked = build(driver, Some(120));
-        let mut prior_p = Vec::new();
-        let mut prior_c = Vec::new();
-        for exp in registry() {
-            let rp = exp.run_with(&plain, &prior_p);
-            let rc = exp.run_with(&checked, &prior_c);
-            assert_eq!(
-                rp.render_text(),
-                rc.render_text(),
-                "checkpoint changed the report of {} under driver={driver:?}",
-                exp.id()
-            );
-            prior_p.push(rp);
-            prior_c.push(rc);
-        }
+    let (plain, checked) = (build(None), build(Some(120)));
+    let mut prior_p = Vec::new();
+    let mut prior_c = Vec::new();
+    for exp in registry() {
+        let rp = exp.run_with(&plain, &prior_p);
+        let rc = exp.run_with(&checked, &prior_c);
+        assert_eq!(
+            rp.render_text(),
+            rc.render_text(),
+            "checkpoint changed the report of {}",
+            exp.id()
+        );
+        prior_p.push(rp);
+        prior_c.push(rc);
     }
 }
 
@@ -242,14 +241,101 @@ fn snapshot_rejects_tampering_and_wrong_identity() {
     other.seed ^= 1;
     let other_env = RadioEnv::new(other.seed);
     let other_tl = generate_timeline(&other_env, &other);
-    let err = ppr::sim::network::resume_receptions_timestep(
-        &other_env,
-        &other,
-        &other_tl,
-        &arm,
-        &snap,
-        Some(1),
-    )
-    .unwrap_err();
-    assert!(matches!(err, SnapError::IdentityMismatch(_)), "{err}");
+    for (leg, result) in resume_both(&other_env, &other, &other_tl, &arm, &snap) {
+        let err = result.expect_err(leg);
+        assert!(
+            matches!(err, SnapError::IdentityMismatch(_)),
+            "{leg}: {err}"
+        );
+    }
+}
+
+/// Completes `snap` under both resume legs — the event driver and the
+/// sequential bool reference — labelled for assertion messages.
+fn resume_both(
+    env: &RadioEnv,
+    c: &SimConfig,
+    timeline: &[Transmission],
+    arm: &RxArm,
+    snap: &RxSnapshot,
+) -> [(&'static str, Result<Vec<Reception>, SnapError>); 2] {
+    [
+        (
+            "event driver",
+            ReceptionDriver::restore(env, c, timeline, arm, Some(2), BATCH_PER_WORKER, snap)
+                .map(|d| d.run_to_end()),
+        ),
+        (
+            "bool reference",
+            resume_receptions_reference(env, c, timeline, arm, snap),
+        ),
+    ]
+}
+
+#[test]
+fn tampered_in_flight_captures_are_rejected_by_both_resume_legs() {
+    let c = cfg(42.4, 11);
+    let env = RadioEnv::new(c.seed);
+    let timeline = generate_timeline(&env, &c);
+    let arm = arm();
+    // A checkpoint with captures in flight and slots already decoded.
+    let snap = [200u64, 400, 800, 1600]
+        .into_iter()
+        .map(|events| {
+            let bytes = snapshot_after_events(&env, &c, &timeline, &arm, Some(2), events);
+            RxSnapshot::from_bytes(&bytes).expect("snapshot parses")
+        })
+        .find(|s| !s.in_flight.is_empty() && s.out.iter().any(Option::is_some))
+        .expect("an epoch with in-flight captures and decoded slots");
+    for (leg, result) in resume_both(&env, &c, &timeline, &arm, &snap) {
+        result.unwrap_or_else(|e| panic!("{leg} rejects the untampered snapshot: {e}"));
+    }
+
+    // 1. The capture names a different transmission than its slot's job.
+    let mut mismatched = snap.clone();
+    let f = &mut mismatched.in_flight[0];
+    f.tx_index = (f.tx_index + 1) % timeline.len();
+    // 2. The capture's slot lies past the end of the slot table.
+    let mut out_of_range = snap.clone();
+    out_of_range.in_flight[0].slot = snap.out.len();
+    // 3. The capture sits at a slot that is already decoded, under
+    //    exactly the (receiver, transmission) job of that slot.
+    let mut decoded = snap.clone();
+    let (slot, rec) = snap
+        .out
+        .iter()
+        .enumerate()
+        .find_map(|(i, r)| r.as_ref().map(|r| (i, r)))
+        .expect("a decoded slot");
+    let f = &mut decoded.in_flight[0];
+    f.slot = slot;
+    f.receiver = rec.receiver;
+    f.tx_index = timeline
+        .iter()
+        .position(|t| t.id == rec.tx_id)
+        .expect("decoded reception names a timeline transmission");
+    // 4. The same capture listed twice.
+    let mut duplicated = snap.clone();
+    duplicated.in_flight.push(snap.in_flight[0].clone());
+
+    for (case, tampered) in [
+        ("a mismatched triple", &mismatched),
+        ("an out-of-range slot", &out_of_range),
+        ("an already-decoded slot", &decoded),
+        ("a duplicated capture", &duplicated),
+    ] {
+        for (leg, result) in resume_both(&env, &c, &timeline, &arm, tampered) {
+            assert!(result.is_err(), "{leg} accepted {case}");
+        }
+    }
+
+    // 5. A pending completion event with no capture behind it. Only the
+    //    event driver replays the queue; it must refuse the snapshot
+    //    instead of panicking when that completion pops.
+    let mut orphaned = snap.clone();
+    orphaned.in_flight.remove(0);
+    assert!(
+        ReceptionDriver::restore(&env, &c, &timeline, &arm, Some(2), 8, &orphaned).is_err(),
+        "event driver accepted a completion without a capture"
+    );
 }
