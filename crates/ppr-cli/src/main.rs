@@ -411,14 +411,7 @@ fn diff(args: &RunArgs) -> i32 {
             postamble: true,
             collect_symbols: false,
         };
-        let bytes = snapshot_after_events(
-            &run.env,
-            &run.cfg,
-            &run.timeline,
-            &arm,
-            base.threads,
-            checkpoint,
-        );
+        let bytes = snapshot_after_events(&run.env, &run.cfg, &run.timeline, &arm, checkpoint);
         let snap = match RxSnapshot::from_bytes(&bytes) {
             Ok(s) => s,
             Err(e) => {
@@ -485,13 +478,13 @@ fn diff(args: &RunArgs) -> i32 {
         println!();
 
         // Jammed-mesh pass: one frozen adversarial mesh checkpoint
-        // (reactive jammer + churn + exponential backoff), restored
-        // across the worker fleet and an extra serialize/parse leg.
-        // Small on purpose — the point is fleet agreement, not scale.
+        // (reactive jammer + churn + exponential backoff), sent through
+        // the byte format and resumed. Small on purpose — the point is
+        // agreement with the uninterrupted run, not scale.
         let mesh_params = jammed_mesh_params(&base);
-        let reference = run_mesh(&mesh_params, Some(1));
+        let reference = run_mesh(&mesh_params);
         let reference_fp = fingerprint(format!("{reference:?}").as_bytes());
-        let mut driver = MeshDriver::new(&mesh_params, Some(1));
+        let mut driver = MeshDriver::new(&mesh_params, None);
         driver.run_events(checkpoint);
         let snap_bytes = driver.save().to_bytes();
         let snap = match MeshSnapshot::from_bytes(&snap_bytes) {
@@ -504,31 +497,29 @@ fn diff(args: &RunArgs) -> i32 {
         let mut t =
             ppr_sim::report::Table::new(&["jammed mesh", "stats fingerprint", "vs baseline"]);
         t.row(&[
-            "baseline w1".to_string(),
+            "uninterrupted".to_string(),
             format!("{reference_fp:016x}"),
             "ok".to_string(),
         ]);
-        for workers in [1usize, 2, 4, 8] {
-            let resumed = match MeshDriver::restore(&mesh_params, Some(workers), &snap) {
-                Ok(d) => d.run_to_end(),
-                Err(e) => {
-                    eprintln!("error: jammed mesh checkpoint restore failed: {e}");
-                    return 1;
-                }
-            };
-            let fp = fingerprint(format!("{resumed:?}").as_bytes());
-            let agree = resumed == reference;
-            t.row(&[
-                format!("resume w{workers}"),
-                format!("{fp:016x}"),
-                if agree { "ok" } else { "DIVERGED" }.to_string(),
-            ]);
-            if !agree {
-                failures.push(Json::Obj(vec![
-                    ("jammed_mesh_workers".into(), Json::int(workers as u64)),
-                    ("point".into(), Json::str(&label)),
-                ]));
+        let resumed = match MeshDriver::restore(&mesh_params, &snap) {
+            Ok(d) => d.run_to_end(),
+            Err(e) => {
+                eprintln!("error: jammed mesh checkpoint restore failed: {e}");
+                return 1;
             }
+        };
+        let fp = fingerprint(format!("{resumed:?}").as_bytes());
+        let agree = resumed == reference;
+        t.row(&[
+            "resumed".to_string(),
+            format!("{fp:016x}"),
+            if agree { "ok" } else { "DIVERGED" }.to_string(),
+        ]);
+        if !agree {
+            failures.push(Json::Obj(vec![
+                ("jammed_mesh".into(), Json::str("resumed")),
+                ("point".into(), Json::str(&label)),
+            ]));
         }
         print!("{}", t.render());
     }

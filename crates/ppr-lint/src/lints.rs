@@ -11,6 +11,7 @@
 //! | `unsafe-containment` | `unsafe` only in the allowlisted modules, and every `unsafe` site carries a `// SAFETY:` justification |
 //! | `no-float` | no float literals or `f32`/`f64` tokens inside declared `region(no-float)` spans (the Q23.40 planner scoring and CRC paths) |
 //! | `env-hygiene` | `std::env::var`/`var_os` only in `ppr_sim::env`, `ppr-cli` and `ppr-bench` |
+//! | `thread-containment` | `thread::spawn`/`thread::scope`/`thread::Builder` (called, or imported from `std::thread`) only in `ppr_sim::experiments::common`, whose `par_map` runs an experiment's independent arms concurrently — every event loop stays single-threaded, so a per-flush fan-out cannot come back |
 //! | `event-key-doc` | `ppr_sim::event` documents the heap ordering key verbatim — the literal `(time, priority, seq)` must appear in the module, so the total-order contract every driver leans on cannot silently rot out of the docs |
 //! | `snapshot-field-doc` | every field inside a declared `region(snapshot-state)` span carries a `snapshot:` comment stating whether it is serialized or rebuilt on restore, and the checkpointed drivers (`ppr_sim::network`, the mesh experiment, the adversary actor) each declare at least one such region — so the snapshot format's field inventory cannot drift from the structs it serializes |
 //! | `axis-doc` | every axis key in `ppr_sim::scenario`'s `SCENARIO_KEYS` table has a `` | `key` `` row in the README's scenario-axis table — so `--set` surface and documentation cannot drift apart |
@@ -43,11 +44,12 @@ pub struct Finding {
 }
 
 /// Names of every lint, for `--list` and allow(...) validation.
-pub const LINT_NAMES: [&str; 8] = [
+pub const LINT_NAMES: [&str; 9] = [
     "determinism",
     "unsafe-containment",
     "no-float",
     "env-hygiene",
+    "thread-containment",
     "event-key-doc",
     "snapshot-field-doc",
     "axis-doc",
@@ -84,6 +86,14 @@ const ENV_ALLOWLIST: [&str; 3] = [
     "crates/ppr-bench/",
 ];
 
+/// The one module of the deterministic crates allowed to start threads:
+/// its `par_map` spends a scenario's threads on independent experiment
+/// arms.
+const THREAD_HOME: &str = "crates/ppr-sim/src/experiments/common.rs";
+
+/// The `std::thread` items that start threads.
+const THREAD_STARTERS: [&str; 3] = ["spawn", "scope", "Builder"];
+
 fn in_scope(path: &str, scopes: &[&str]) -> bool {
     scopes.iter().any(|s| path.starts_with(s))
 }
@@ -111,6 +121,7 @@ pub fn check_file_with_readme(
     unsafe_containment_lint(file, cfg, &mut findings);
     no_float_lint(file, &mut findings);
     env_hygiene_lint(file, &mut findings);
+    thread_containment_lint(file, &mut findings);
     event_key_doc_lint(file, &mut findings);
     snapshot_field_doc_lint(file, &mut findings);
     if let Some(readme) = readme {
@@ -586,6 +597,55 @@ fn env_hygiene_lint(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
+/// `thread-containment`: in the deterministic crates, threads start
+/// only in [`THREAD_HOME`]. Flags `thread::spawn`, `thread::scope` and
+/// `thread::Builder` paths, and those names inside a
+/// `thread::{...}` import group.
+fn thread_containment_lint(file: &SourceFile, out: &mut Vec<Finding>) {
+    if !in_scope(&file.rel_path, &DETERMINISTIC_SCOPES) || file.rel_path == THREAD_HOME {
+        return;
+    }
+    let tokens = &file.lexed.tokens;
+    let is = |i: usize, p: char| matches!(tokens.get(i).map(|t| &t.kind), Some(TokenKind::Punct(c)) if *c == p);
+    for (i, tok) in tokens.iter().enumerate() {
+        let TokenKind::Ident(name) = &tok.kind else {
+            continue;
+        };
+        if name != "thread" || !is(i + 1, ':') || !is(i + 2, ':') {
+            continue;
+        }
+        // `thread::spawn`, or `thread::{..., spawn, ...}`.
+        let mut named = Vec::new();
+        if is(i + 3, '{') {
+            for t in &tokens[i + 4..] {
+                match &t.kind {
+                    TokenKind::Punct('}') => break,
+                    TokenKind::Ident(n) => named.push((t.line, n.as_str())),
+                    _ => {}
+                }
+            }
+        } else if let Some(t) = tokens.get(i + 3) {
+            if let TokenKind::Ident(n) = &t.kind {
+                named.push((t.line, n.as_str()));
+            }
+        }
+        for (line, item) in named {
+            if THREAD_STARTERS.contains(&item) {
+                out.push(finding(
+                    file,
+                    line,
+                    "thread-containment",
+                    format!(
+                        "`thread::{item}` outside {THREAD_HOME}; event loops stay \
+                         single-threaded — run independent arms through \
+                         `experiments::common::par_map` instead"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
 /// Is token `i` followed by `:: var` or `:: var_os`?
 fn followed_by_var(tokens: &[crate::lexer::Token], i: usize) -> bool {
     matches!(
@@ -722,6 +782,34 @@ let f = 4.0;
         assert!(f.iter().all(|x| x.lint == "no-float"));
         assert_eq!(f[0].line, 4);
         assert_eq!(f[1].line, 5); // two findings on line 5 (f64 twice)
+    }
+
+    #[test]
+    fn thread_starts_flagged_outside_the_par_map_home() {
+        let spawn = "fn f() { std::thread::scope(|s| { s.spawn(|| ()); }); }\n";
+        let f = check("crates/ppr-sim/src/rxpath.rs", spawn);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].lint, "thread-containment");
+        for src in [
+            "let h = thread::spawn(|| 1);\n",
+            "let b = std::thread::Builder::new();\n",
+            "use std::thread::{self, scope};\n",
+        ] {
+            let f = check("crates/ppr-core/src/x.rs", src);
+            assert_eq!(f.len(), 1, "{src}: {f:?}");
+        }
+        // The par_map home, and crates outside the deterministic scope.
+        assert!(check("crates/ppr-sim/src/experiments/common.rs", spawn).is_empty());
+        assert!(check("crates/ppr-bench/src/x.rs", spawn).is_empty());
+        assert!(check("crates/ppr-cli/src/main.rs", spawn).is_empty());
+        // Non-starting thread items are fine anywhere.
+        for src in [
+            "let n = std::thread::available_parallelism();\n",
+            "std::thread::sleep(d);\n",
+            "use std::thread::{available_parallelism, sleep};\n",
+        ] {
+            assert!(check("crates/ppr-sim/src/x.rs", src).is_empty(), "{src}");
+        }
     }
 
     #[test]

@@ -40,6 +40,11 @@ fn every_lint_fires_on_its_fixture() {
         ("crates/ppr-phy/src/simd.rs", 3, "unsafe-containment"),
         ("crates/ppr-core/src/float_region.rs", 4, "no-float"),
         ("crates/ppr-channel/src/env_use.rs", 3, "env-hygiene"),
+        (
+            "crates/ppr-sim/src/flush_fanout.rs",
+            3,
+            "thread-containment",
+        ),
     ] {
         assert!(
             hits.iter()
@@ -54,6 +59,7 @@ fn every_lint_fires_on_its_fixture() {
     assert_eq!(count("unsafe-containment"), 2);
     assert_eq!(count("no-float"), 2); // `f64` token + float literal
     assert_eq!(count("env-hygiene"), 1);
+    assert_eq!(count("thread-containment"), 1); // `scope`; `s.spawn` is a method
     assert_eq!(count("directive"), 0);
 }
 

@@ -8,7 +8,7 @@
 //! ([`crate::network::snapshot_after_events`]), and the identical
 //! serialized state is completed under
 //!
-//! * the event-driven packed driver at several worker × batch shapes, and
+//! * the event-driven packed driver (the fast path), and
 //! * the sequential `&[bool]` reference (the executable specification),
 //!
 //! after which [`first_divergence`] reports the first stream position
@@ -32,13 +32,8 @@ pub use ppr_phy::simd::active_kernel_signature;
 /// One way to complete a restored checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiffBackend {
-    /// The event-driven packed driver with explicit tuning knobs.
-    Event {
-        /// Worker-thread count.
-        workers: usize,
-        /// Per-worker batch length.
-        batch_per_worker: usize,
-    },
+    /// The event-driven packed driver ([`ReceptionDriver`]).
+    Event,
     /// The sequential `&[bool]` reference implementation.
     Reference,
 }
@@ -47,33 +42,17 @@ impl DiffBackend {
     /// Stable human-readable label, used in reports and CI output.
     pub fn label(&self) -> String {
         match *self {
-            DiffBackend::Event {
-                workers,
-                batch_per_worker,
-            } => format!("event/w{workers}b{batch_per_worker}"),
-            DiffBackend::Reference => "reference/bool".to_string(),
+            DiffBackend::Event => "event/packed",
+            DiffBackend::Reference => "reference/bool",
         }
+        .to_string()
     }
 }
 
-/// The default cross-validation matrix: the single-threaded event
-/// driver as baseline, wider event shapes, and the bool reference.
+/// The default cross-validation matrix: the event driver as baseline,
+/// and the bool reference.
 pub fn standard_backends() -> Vec<DiffBackend> {
-    vec![
-        DiffBackend::Event {
-            workers: 1,
-            batch_per_worker: 1,
-        },
-        DiffBackend::Event {
-            workers: 2,
-            batch_per_worker: 8,
-        },
-        DiffBackend::Event {
-            workers: 4,
-            batch_per_worker: 32,
-        },
-        DiffBackend::Reference,
-    ]
+    vec![DiffBackend::Event, DiffBackend::Reference]
 }
 
 /// Completes a restored checkpoint under one backend, returning the
@@ -87,19 +66,9 @@ pub fn resume_receptions(
     backend: DiffBackend,
 ) -> Result<Vec<Reception>, SnapError> {
     match backend {
-        DiffBackend::Event {
-            workers,
-            batch_per_worker,
-        } => ReceptionDriver::restore(
-            env,
-            cfg,
-            timeline,
-            arm,
-            Some(workers),
-            batch_per_worker,
-            snap,
-        )
-        .map(|d| d.run_to_end()),
+        DiffBackend::Event => {
+            ReceptionDriver::restore(env, cfg, timeline, arm, snap).map(|d| d.run_to_end())
+        }
         DiffBackend::Reference => resume_receptions_reference(env, cfg, timeline, arm, snap),
     }
 }
@@ -370,9 +339,6 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         let labels: Vec<String> = standard_backends().iter().map(|b| b.label()).collect();
-        assert_eq!(
-            labels,
-            ["event/w1b1", "event/w2b8", "event/w4b32", "reference/bool"]
-        );
+        assert_eq!(labels, ["event/packed", "reference/bool"]);
     }
 }

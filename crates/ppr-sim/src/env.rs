@@ -5,7 +5,7 @@
 //!
 //! * `PPR_DURATION` — simulated seconds per experiment run (default
 //!   [`DEFAULT_DURATION_S`]).
-//! * `PPR_THREADS` — worker-thread count for the reception loop
+//! * `PPR_THREADS` — worker-thread count for an experiment's independent arms
 //!   (default: the machine's available parallelism).
 //!
 //! Everything else folds these in through [`crate::scenario::Scenario`]
@@ -48,12 +48,13 @@ pub fn parse_duration(raw: Option<&str>) -> Result<f64, String> {
     }
 }
 
-/// Worker-thread ceiling for the reception loop: the `PPR_THREADS`
+/// Worker-thread ceiling for an experiment's independent arms
+/// ([`crate::experiments::common::par_map`]): the `PPR_THREADS`
 /// override, else the machine's available parallelism. An invalid
 /// override is rejected with a warning on stderr — a typo'd thread
 /// count must not silently run on all cores. The environment is
 /// resolved once per process so the warning prints a single time, not
-/// once per reception-loop call.
+/// once per call.
 pub fn threads_from_env() -> usize {
     threads_override_from_env().unwrap_or_else(available_parallelism)
 }

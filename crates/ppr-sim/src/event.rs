@@ -23,7 +23,7 @@
 //!    tie in schedule order.
 //!
 //! No two events ever compare equal, so the pop order is a pure function
-//! of the schedule calls — independent of heap internals, worker-thread
+//! of the schedule calls — independent of heap internals, thread
 //! scheduling, or iteration order of any container. There is no
 //! `HashMap`, wall clock, or `thread_rng` anywhere in this module
 //! (enforced by ppr-lint's `determinism` lint).

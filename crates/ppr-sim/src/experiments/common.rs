@@ -1,5 +1,6 @@
-//! Shared experiment machinery: standard runs, per-link aggregation, and
-//! the experiment parameter conventions used across figures.
+//! Shared experiment machinery: standard runs, per-link aggregation,
+//! the experiment parameter conventions used across figures, and
+//! [`par_map`] — the one place the simulator starts threads.
 //!
 //! Parameter defaults and environment overrides live in
 //! [`crate::scenario`] — this module only consumes a resolved
@@ -8,12 +9,69 @@
 use crate::geometry::Testbed;
 use crate::metrics::Cdf;
 use crate::network::{
-    generate_timeline, office_model, process_receptions_checkpointed, RadioEnv, Reception,
-    ReceptionDriver, RxArm, SimConfig, Transmission, BATCH_PER_WORKER, SQUELCH_SNR,
+    generate_timeline, office_model, process_receptions, process_receptions_checkpointed, RadioEnv,
+    Reception, RxArm, SimConfig, Transmission, SQUELCH_SNR,
 };
 use crate::rxpath::Acquisition;
 use crate::scenario::{Scenario, DEFAULT_SEED};
 use ppr_mac::schemes::DeliveryScheme;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Maps `jobs` through `f` on up to the scenario's thread count
+/// ([`Scenario::threads`], else the `PPR_THREADS` / available
+/// parallelism default), returning the outputs in input order.
+///
+/// This is where the simulator's threads belong: the jobs are the
+/// independent arms of one experiment (delivery schemes, postamble
+/// arms, chunk counts, duty points), each a whole single-threaded run
+/// over shared read-only inputs, so the output is the same for every
+/// thread count. Each worker claims the next job index from a shared
+/// counter, so arms of unequal cost balance. The calling thread works
+/// too; one scope is opened per call and nothing outlives it. With one
+/// thread or at most one job the map runs inline, spawning nothing. A
+/// panicking job re-raises its own panic in the caller.
+pub fn par_map<J: Sync, T: Send>(
+    scenario: &Scenario,
+    jobs: &[J],
+    f: impl Fn(&J) -> T + Sync,
+) -> Vec<T> {
+    let workers = scenario
+        .threads
+        .unwrap_or_else(crate::env::threads_from_env)
+        .min(jobs.len());
+    if workers <= 1 {
+        return jobs.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else {
+                return done;
+            };
+            done.push((i, f(job)));
+        }
+    };
+    let mut out: Vec<Option<T>> = Vec::new();
+    out.resize_with(jobs.len(), || None);
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            match helper.join() {
+                Ok(more) => done.extend(more),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        for (i, t) in done {
+            out[i] = Some(t);
+        }
+    });
+    out.into_iter()
+        .map(|t| t.expect("every job claimed exactly once"))
+        .collect()
+}
 
 /// One standard capacity run: environment + timeline, reusable across
 /// arms (the trace-post-processing methodology).
@@ -24,8 +82,6 @@ pub struct CapacityRun {
     pub cfg: SimConfig,
     /// The generated transmission timeline.
     pub timeline: Vec<Transmission>,
-    /// Reception-loop worker override (`None` = environment default).
-    pub threads: Option<usize>,
     /// Snapshot/restore exercise point (`None` = run uninterrupted).
     pub checkpoint: Option<u64>,
 }
@@ -41,7 +97,7 @@ impl CapacityRun {
             duration_s,
             seed: DEFAULT_SEED,
         };
-        Self::from_config(cfg, None, Testbed::fig7(), None)
+        Self::from_config(cfg, Testbed::fig7(), None)
     }
 
     /// Builds a run for a scenario at the experiment's canonical load
@@ -54,31 +110,24 @@ impl CapacityRun {
         let comm_radius_m = office_model().range_at_snr_m(SQUELCH_SNR);
         Self::from_config(
             scenario.sim_config(load_kbps, carrier_sense),
-            scenario.threads,
             scenario.topology.testbed(comm_radius_m),
             scenario.checkpoint,
         )
     }
 
-    fn from_config(
-        cfg: SimConfig,
-        threads: Option<usize>,
-        testbed: Testbed,
-        checkpoint: Option<u64>,
-    ) -> Self {
+    fn from_config(cfg: SimConfig, testbed: Testbed, checkpoint: Option<u64>) -> Self {
         let env = RadioEnv::with_testbed(cfg.seed, testbed);
         let timeline = generate_timeline(&env, &cfg);
         CapacityRun {
             env,
             cfg,
             timeline,
-            threads,
             checkpoint,
         }
     }
 
     /// Evaluates one receiver arm over the shared timeline with the
-    /// event-driven [`ReceptionDriver`].
+    /// event-driven [`crate::network::ReceptionDriver`].
     ///
     /// With a `checkpoint` set, the run is driven to that event
     /// boundary, serialized through the binary snapshot format and
@@ -87,23 +136,10 @@ impl CapacityRun {
     /// the whole registry.
     pub fn receptions(&self, arm: &RxArm) -> Vec<Reception> {
         match self.checkpoint {
-            None => ReceptionDriver::new(
-                &self.env,
-                &self.cfg,
-                &self.timeline,
-                arm,
-                self.threads,
-                BATCH_PER_WORKER,
-            )
-            .run_to_end(),
-            Some(events) => process_receptions_checkpointed(
-                &self.env,
-                &self.cfg,
-                &self.timeline,
-                arm,
-                self.threads,
-                events,
-            ),
+            None => process_receptions(&self.env, &self.cfg, &self.timeline, arm),
+            Some(events) => {
+                process_receptions_checkpointed(&self.env, &self.cfg, &self.timeline, arm, events)
+            }
         }
     }
 }
@@ -250,6 +286,67 @@ mod tests {
         let b = CapacityRun::new(13.8, false, 3.0);
         assert_eq!(a.cfg, b.cfg);
         assert_eq!(a.timeline, b.timeline);
+    }
+
+    fn with_threads(threads: usize) -> Scenario {
+        ScenarioBuilder::new().threads(threads).build()
+    }
+
+    #[test]
+    fn par_map_of_no_jobs_or_one_job() {
+        for threads in [1, 4] {
+            let sc = with_threads(threads);
+            assert!(par_map(&sc, &[] as &[u32], |&x| x + 1).is_empty());
+            assert_eq!(par_map(&sc, &[41u32], |&x| x + 1), vec![42]);
+        }
+    }
+
+    #[test]
+    fn par_map_keeps_input_order_with_more_jobs_than_workers() {
+        let jobs: Vec<u64> = (0..37).collect();
+        let want: Vec<u64> = jobs.iter().map(|x| x * x).collect();
+        for threads in [1, 2, 3, 8] {
+            // Early jobs cost the most, so later ones finish first on
+            // the other workers.
+            let got = par_map(&with_threads(threads), &jobs, |&x| {
+                let mut acc = x;
+                for _ in 0..(37 - x) * 10_000 {
+                    acc = std::hint::black_box(acc.wrapping_mul(3) ^ x);
+                }
+                std::hint::black_box(acc);
+                x * x
+            });
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn par_map_runs_jobs_concurrently() {
+        // Each job waits for the other to start, which only a second
+        // thread can do; the wait is bounded so a serial map fails
+        // instead of hanging.
+        let started = AtomicUsize::new(0);
+        let both = par_map(&with_threads(2), &[0, 1], |_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            for _ in 0..10_000 {
+                if started.load(Ordering::SeqCst) == 2 {
+                    return true;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            false
+        });
+        assert_eq!(both, vec![true, true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 failed")]
+    fn par_map_propagates_a_job_panic() {
+        let jobs: Vec<usize> = (0..8).collect();
+        par_map(&with_threads(3), &jobs, |&i| {
+            assert!(i != 5, "job {i} failed");
+            i
+        });
     }
 
     #[test]

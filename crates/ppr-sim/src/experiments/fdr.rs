@@ -10,7 +10,7 @@
 //! packet CRC collapses without carrier sense and at high load while PPR
 //! stays high.
 
-use super::common::{fdr_cdf, six_arms, CapacityRun};
+use super::common::{fdr_cdf, par_map, six_arms, CapacityRun};
 use super::Experiment;
 use crate::metrics::Cdf;
 use crate::results::{ExperimentResult, TableBlock};
@@ -30,19 +30,17 @@ pub fn median_metric_key(label: &str) -> String {
     format!("median_fdr/{label}")
 }
 
-/// Runs one figure's experiment at the resolved load/carrier-sense.
+/// Runs one figure's experiment at the resolved load/carrier-sense,
+/// its six arms concurrently over the one shared timeline.
 pub fn collect(scenario: &Scenario, load_kbps: f64, carrier_sense: bool) -> Vec<Curve> {
     let run = CapacityRun::from_scenario(scenario, load_kbps, carrier_sense);
-    six_arms(scenario.schemes())
-        .into_iter()
-        .map(|(label, arm)| {
-            let recs = run.receptions(&arm);
-            Curve {
-                label,
-                cdf: fdr_cdf(&run.env, &recs, run.cfg.body_bytes),
-            }
-        })
-        .collect()
+    par_map(scenario, &six_arms(scenario.schemes()), |(label, arm)| {
+        let recs = run.receptions(arm);
+        Curve {
+            label: label.clone(),
+            cdf: fdr_cdf(&run.env, &recs, run.cfg.body_bytes),
+        }
+    })
 }
 
 /// One of the three FDR figures, distinguished by its canonical

@@ -19,7 +19,7 @@ use crate::report::fmt;
 use crate::results::{ExperimentResult, TableBlock};
 use crate::rxpath::FastRx;
 use crate::scenario::{Scenario, DEFAULT_SEED};
-use ppr_channel::chip_channel::{corrupt_chips, ErrorProfile};
+use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ErrorProfile};
 use ppr_core::arq::{run_session_with, ArqChannel, PpArqConfig, SessionStats};
 use ppr_core::dp::ChunkScratch;
 use ppr_mac::frame::Frame;
@@ -58,7 +58,7 @@ impl RadioLinkChannel {
     /// view of the body plus per-byte hints.
     fn transmit(&mut self, bytes: &[u8]) -> (Vec<u8>, Vec<u8>) {
         let frame = Frame::new(1, 2, 0, bytes.to_vec());
-        let chips = frame.chips();
+        let mut chips = frame.chip_words();
         let total = chips.len() as u64;
 
         let mut profile = vec![(0u64, total, self.base_chip_error)];
@@ -73,9 +73,9 @@ impl RadioLinkChannel {
             ];
         }
         let profile = ErrorProfile::from_pieces(profile);
-        let corrupted = corrupt_chips(&chips, &profile, &mut self.rng);
+        corrupt_chip_words_in_place(&mut chips, &profile, &mut self.rng);
 
-        let (_acq, rx_frame) = self.rx.receive(&frame, &corrupted, true);
+        let (_acq, rx_frame) = self.rx.receive_words(&frame, &chips, true);
         match rx_frame {
             Some(rx) => {
                 let body = rx.body_bytes().unwrap_or_default();
@@ -100,10 +100,10 @@ impl ArqChannel for RadioLinkChannel {
         // Feedback rides the same link quality without bursts (it is
         // short; the paper's reverse link is the same radio pair).
         let frame = Frame::new(2, 1, 0, bytes.to_vec());
-        let chips = frame.chips();
+        let mut chips = frame.chip_words();
         let profile = ErrorProfile::uniform(chips.len() as u64, self.base_chip_error);
-        let corrupted = corrupt_chips(&chips, &profile, &mut self.rng);
-        let (_acq, rx_frame) = self.rx.receive(&frame, &corrupted, true);
+        corrupt_chip_words_in_place(&mut chips, &profile, &mut self.rng);
+        let (_acq, rx_frame) = self.rx.receive_words(&frame, &chips, true);
         match rx_frame.and_then(|rx| rx.body_bytes()) {
             Some(body) if body.len() == bytes.len() => {
                 let hints = vec![0u8; body.len()];

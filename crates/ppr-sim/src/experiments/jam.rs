@@ -18,13 +18,14 @@
 //! all 250 B to the next pulse; PP-ARQ shrinks the exposed window each
 //! round — the goodput gap the table reports.
 
+use super::common::par_map;
 use super::Experiment;
 use crate::report::fmt;
 use crate::results::{ExperimentResult, TableBlock};
 use crate::rxpath::FastRx;
 use crate::scenario::{Scenario, DEFAULT_SEED};
 use ppr_channel::ber::chip_error_prob;
-use ppr_channel::chip_channel::{corrupt_chips, ErrorProfile};
+use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ErrorProfile};
 use ppr_channel::jamming::{clip_bursts, pulse_bursts_in};
 use ppr_core::arq::{run_session_with, ArqChannel, PpArqConfig};
 use ppr_core::dp::ChunkScratch;
@@ -132,14 +133,14 @@ impl JammedLinkChannel {
     /// Sends `bytes` as one frame at `self.now`, advancing the clock.
     fn transmit(&mut self, bytes: &[u8]) -> (Vec<u8>, Vec<u8>) {
         let frame = Frame::new(1, 2, 0, bytes.to_vec());
-        let chips = frame.chips();
+        let mut chips = frame.chip_words();
         let total = chips.len() as u64;
         let profile = self.frame_profile(total);
-        let corrupted = corrupt_chips(&chips, &profile, &mut self.rng);
+        corrupt_chip_words_in_place(&mut chips, &profile, &mut self.rng);
         self.now += total + TURNAROUND;
         self.airtime_chips += total;
 
-        let (_acq, rx_frame) = self.rx.receive(&frame, &corrupted, true);
+        let (_acq, rx_frame) = self.rx.receive_words(&frame, &chips, true);
         match rx_frame {
             Some(rx) => {
                 let body = rx.body_bytes().unwrap_or_default();
@@ -374,9 +375,13 @@ impl Experiment for Jam {
             "whole overhead",
             "exhausted p/w",
         ]);
+        // The duty points are independent runs (each owns its jammer
+        // and channel RNG), so they run concurrently.
+        let points = par_map(scenario, &DUTIES, |&duty| {
+            run_duty_point(duty, n_packets, seed, policy)
+        });
         let mut wins = 0usize;
-        for duty in DUTIES {
-            let (pp, wf) = run_duty_point(duty, n_packets, seed, policy);
+        for (duty, (pp, wf)) in DUTIES.into_iter().zip(points) {
             if pp.goodput_kbps() > wf.goodput_kbps() {
                 wins += 1;
             }

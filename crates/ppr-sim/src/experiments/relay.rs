@@ -22,7 +22,7 @@ use super::Experiment;
 use crate::results::ExperimentResult;
 use crate::rxpath::{Acquisition, FastRx};
 use crate::scenario::{Scenario, DEFAULT_SEED};
-use ppr_channel::chip_channel::{corrupt_chips, ErrorProfile};
+use ppr_channel::chip_channel::{corrupt_chip_words_in_place, ErrorProfile};
 use ppr_mac::frame::Frame;
 use ppr_mac::rx::RxFrame;
 use ppr_mac::schemes::DEFAULT_ETA;
@@ -67,7 +67,7 @@ fn send_over(
     rx: &FastRx,
     rng: &mut StdRng,
 ) -> (Acquisition, Option<RxFrame>) {
-    let chips = frame.chips();
+    let mut chips = frame.chip_words();
     let total = chips.len() as u64;
     let mut pieces = vec![(0u64, total, q.base)];
     if rng.gen::<f64>() < q.burst_prob {
@@ -80,8 +80,8 @@ fn send_over(
         ];
     }
     let profile = ErrorProfile::from_pieces(pieces);
-    let corrupted = corrupt_chips(&chips, &profile, rng);
-    rx.receive(frame, &corrupted, true)
+    corrupt_chip_words_in_place(&mut chips, &profile, rng);
+    rx.receive_words(frame, &chips, true)
 }
 
 /// Per-policy tally of end-to-end correct bytes.

@@ -6,7 +6,7 @@
 //! at ~30 chunks (50 B fragments), which the capacity experiments then
 //! use.
 
-use super::common::{per_link_stats, CapacityRun};
+use super::common::{par_map, per_link_stats, CapacityRun};
 use super::Experiment;
 use crate::network::RxArm;
 use crate::results::{ExperimentResult, TableBlock};
@@ -27,36 +27,34 @@ pub struct Row {
     pub aggregate_kbps: f64,
 }
 
-/// Runs the sweep at high load (where the trade-off is sharpest).
+/// Runs the sweep at high load (where the trade-off is sharpest), the
+/// chunk counts concurrently over the one shared timeline.
 pub fn collect(scenario: &Scenario) -> Vec<Row> {
     let run = CapacityRun::from_scenario(scenario, 13.8, false);
     let duration_s = run.cfg.duration_s;
     let body_bytes = run.cfg.body_bytes;
-    CHUNK_COUNTS
-        .iter()
-        .map(|&chunks| {
-            // `chunks` fragments must fit in the body including their
-            // 4 B CRCs.
-            let frag_bytes = (body_bytes / chunks).saturating_sub(4).max(1);
-            let arm = RxArm {
-                scheme: DeliveryScheme::FragmentedCrc {
-                    frag_payload: frag_bytes,
-                },
-                postamble: true,
-                collect_symbols: false,
-            };
-            let recs = run.receptions(&arm);
-            let aggregate: f64 = per_link_stats(&run.env, &recs)
-                .iter()
-                .map(|(_, s)| s.throughput_kbps(duration_s))
-                .sum();
-            Row {
-                chunks,
-                frag_bytes,
-                aggregate_kbps: aggregate,
-            }
-        })
-        .collect()
+    par_map(scenario, &CHUNK_COUNTS, |&chunks| {
+        // `chunks` fragments must fit in the body including their
+        // 4 B CRCs.
+        let frag_bytes = (body_bytes / chunks).saturating_sub(4).max(1);
+        let arm = RxArm {
+            scheme: DeliveryScheme::FragmentedCrc {
+                frag_payload: frag_bytes,
+            },
+            postamble: true,
+            collect_symbols: false,
+        };
+        let recs = run.receptions(&arm);
+        let aggregate: f64 = per_link_stats(&run.env, &recs)
+            .iter()
+            .map(|(_, s)| s.throughput_kbps(duration_s))
+            .sum();
+        Row {
+            chunks,
+            frag_bytes,
+            aggregate_kbps: aggregate,
+        }
+    })
 }
 
 /// The Table 2 experiment.

@@ -9,7 +9,7 @@
 //! CRC; fragmented CRC far outperforms packet CRC; the spread of link
 //! quality narrows for the finer-granularity schemes.
 
-use super::common::{per_link_stats, six_arms, CapacityRun};
+use super::common::{par_map, per_link_stats, six_arms, CapacityRun};
 use super::Experiment;
 use crate::metrics::Cdf;
 use crate::network::RxArm;
@@ -25,25 +25,23 @@ pub struct Curve {
     pub cdf: Cdf,
 }
 
-/// Fig. 11: throughput CDFs for the six arms at one load.
+/// Fig. 11: throughput CDFs for the six arms at one load, evaluated
+/// concurrently over the one shared timeline.
 pub fn collect_fig11(scenario: &Scenario, load_kbps: f64) -> Vec<Curve> {
     let run = CapacityRun::from_scenario(scenario, load_kbps, false);
     let duration_s = run.cfg.duration_s;
-    six_arms(scenario.schemes())
-        .into_iter()
-        .map(|(label, arm)| {
-            let recs = run.receptions(&arm);
-            let samples = per_link_stats(&run.env, &recs)
-                .into_iter()
-                .filter(|(_, s)| s.frames > 0)
-                .map(|(_, s)| s.throughput_kbps(duration_s))
-                .collect();
-            Curve {
-                label,
-                cdf: Cdf::from_samples(samples),
-            }
-        })
-        .collect()
+    par_map(scenario, &six_arms(scenario.schemes()), |(label, arm)| {
+        let recs = run.receptions(arm);
+        let samples = per_link_stats(&run.env, &recs)
+            .into_iter()
+            .filter(|(_, s)| s.frames > 0)
+            .map(|(_, s)| s.throughput_kbps(duration_s))
+            .collect();
+        Curve {
+            label: label.clone(),
+            cdf: Cdf::from_samples(samples),
+        }
+    })
 }
 
 /// One Fig. 12 scatter point: per-link throughputs under the three
@@ -64,7 +62,8 @@ pub struct ScatterPoint {
 
 /// Fig. 12: per-link (fragmented CRC, packet CRC, PPR) throughput
 /// triples at every load. Postamble decoding enabled for all (the
-/// paper's default receiver).
+/// paper's default receiver). The three arms of a load run
+/// concurrently over its shared timeline.
 pub fn collect_fig12(scenario: &Scenario) -> Vec<ScatterPoint> {
     let mut out = Vec::new();
     for load in scenario.loads(&LOADS) {
@@ -76,10 +75,9 @@ pub fn collect_fig12(scenario: &Scenario) -> Vec<ScatterPoint> {
             postamble: true,
             collect_symbols: false,
         });
-        let stats: Vec<_> = arms
-            .iter()
-            .map(|arm| per_link_stats(&run.env, &run.receptions(arm)))
-            .collect();
+        let stats = par_map(scenario, &arms, |arm| {
+            per_link_stats(&run.env, &run.receptions(arm))
+        });
         for (i, &(link, ref packet_stats)) in stats[0].iter().enumerate() {
             if packet_stats.frames == 0 {
                 continue;

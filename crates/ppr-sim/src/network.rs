@@ -31,28 +31,31 @@
 //! `&[bool]` executable specification) — and `tests/event_parity.rs`
 //! holds each pair bit-identical.
 //!
-//! ## Determinism contract of the parallel reception loop
+//! ## Determinism contract of the reception loop
 //!
-//! [`process_receptions`] fans per-(transmission, receiver) work across
-//! `std::thread::scope` workers. Results are bit-identical to the
-//! sequential reference ([`process_receptions_reference`]) regardless of
-//! worker count or scheduling because:
+//! [`process_receptions`] is single-threaded: one event loop prepares
+//! each (transmission, receiver) capture when its `TxStart` pops and
+//! decodes it when its `ReceptionComplete` pops. Results are
+//! bit-identical to the receiver-major reference
+//! ([`process_receptions_reference`]) even though the two visit the
+//! work in different orders, because:
 //!
 //! 1. every reception draws its channel noise from its own RNG stream
 //!    seeded by `(seed, tx id, receiver)` — no RNG is shared between
-//!    work items;
+//!    receptions;
 //! 2. the only cross-reception state — a receiver's busy/idle window —
-//!    depends solely on earlier preamble hits at that receiver, which is
-//!    resolved in a cheap sequential pass between the parallel
-//!    prepare/decode phases, in event-pop order (= timeline order per
-//!    receiver);
-//! 3. outputs are collected in (receiver, timeline-order) slots, not in
+//!    depends solely on earlier preamble hits at that receiver, and the
+//!    loop folds it in event-pop order (= timeline order per receiver);
+//! 3. outputs land in fixed (receiver, timeline-order) slots, not in
 //!    completion order;
 //! 4. event dispatch itself is totally ordered by the
 //!    `(time, priority, seq)` key of [`crate::event::EventKey`].
 //!
-//! `PPR_THREADS=1` forces the parallel structure onto one worker (still
-//! the packed path); `tests/packed_parity.rs` pins both equalities.
+//! Threads exist only one level up: the experiments evaluate their
+//! independent arms over one shared timeline concurrently
+//! (`experiments::common::par_map`), each arm in its own serial loop.
+//! `tests/packed_parity.rs` and `tests/event_parity.rs` pin the
+//! equality with the reference.
 
 use crate::event::{prio, priority, BinaryHeapQueue, EventQueue, SimEvent};
 use crate::geometry::Testbed;
@@ -546,8 +549,8 @@ struct RxJob {
     slot: usize,
 }
 
-/// Phase-A output for one job: everything a reception needs that does
-/// not depend on the receiver's busy/idle state.
+/// A prepared capture: everything a reception needs that does not
+/// depend on the receiver's busy/idle state.
 struct PreparedRx {
     frame: Frame,
     payload: Vec<u8>,
@@ -555,47 +558,10 @@ struct PreparedRx {
     pre_hit: bool,
 }
 
-/// Worker-thread count for the reception loop: the process-wide
-/// [`crate::env::threads_from_env`] ceiling (the `PPR_THREADS`
-/// override, else available parallelism), capped by the job count.
-fn worker_threads(jobs: usize) -> usize {
-    crate::env::threads_from_env().min(jobs).max(1)
-}
-
-/// Maps `jobs` through `f` on `workers` scoped threads, preserving input
-/// order in the output. Falls back to an inline loop when one worker (or
-/// one job) makes spawning pointless.
-pub(crate) fn fan_out<J: Sync, T: Send>(
-    workers: usize,
-    jobs: &[J],
-    f: impl Fn(&J) -> T + Sync,
-) -> Vec<T> {
-    if workers <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(&f).collect();
-    }
-    let mut out: Vec<Option<T>> = Vec::new();
-    out.resize_with(jobs.len(), || None);
-    let chunk = jobs.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (job_chunk, out_chunk) in jobs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                for (job, slot) in job_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(f(job));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|t| t.expect("every slot filled by its worker"))
-        .collect()
-}
-
-/// Default prepare/decode batch size per worker: each in-flight batch
-/// holds `workers × BATCH_PER_WORKER` prepared captures. Swept in
-/// `bench_packed` (the `recv_event_b{4,8,16,32}` rows); 8 stays the
-/// default — the sweep is flat within noise on the measured hardware,
-/// and 8 keeps peak memory lowest (see docs/PERF.md).
+/// The batch length the `perfbench` package still passes to
+/// [`ReceptionDriver::new`], which accepts and ignores it: the loop is
+/// single-threaded and decodes each capture when its reception
+/// completes. Delete both with the next change to that package.
 pub const BATCH_PER_WORKER: usize = 8;
 
 /// Evaluates every transmission at every receiver under one arm.
@@ -603,19 +569,18 @@ pub const BATCH_PER_WORKER: usize = 8;
 /// This is the event-driven fast path: transmission starts and
 /// reception completions flow through a [`BinaryHeapQueue`] (total
 /// `(time, priority, seq)` order), chip streams are bit-packed
-/// [`ChipWords`] end to end, and per-(transmission, receiver) work runs
-/// on scoped worker threads (see the module docs for the determinism
-/// contract). Output is bit-identical to the sequential reference
-/// ([`process_receptions_reference`]). For an explicit worker count or
-/// batch size, call [`ReceptionDriver::new`] and
-/// [`ReceptionDriver::run_to_end`] directly.
+/// [`ChipWords`] end to end, and the loop is single-threaded (see the
+/// module docs for the determinism contract). Output is bit-identical
+/// to the sequential reference ([`process_receptions_reference`]). To
+/// stop at an event boundary or checkpoint, drive a
+/// [`ReceptionDriver`] directly.
 pub fn process_receptions(
     env: &RadioEnv,
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
 ) -> Vec<Reception> {
-    ReceptionDriver::new(env, cfg, timeline, arm, None, BATCH_PER_WORKER).run_to_end()
+    ReceptionDriver::start(env, cfg, timeline, arm).run_to_end()
 }
 
 /// [`process_receptions`] with a checkpoint in the middle: the run is
@@ -629,12 +594,11 @@ pub fn process_receptions_checkpointed(
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
-    workers: Option<usize>,
     checkpoint_events: u64,
 ) -> Vec<Reception> {
-    let bytes = snapshot_after_events(env, cfg, timeline, arm, workers, checkpoint_events);
+    let bytes = snapshot_after_events(env, cfg, timeline, arm, checkpoint_events);
     let snap = RxSnapshot::from_bytes(&bytes).expect("snapshot bytes round-trip");
-    ReceptionDriver::restore(env, cfg, timeline, arm, workers, BATCH_PER_WORKER, &snap)
+    ReceptionDriver::restore(env, cfg, timeline, arm, &snap)
         .expect("snapshot restores against its own run inputs")
         .run_to_end()
 }
@@ -647,10 +611,9 @@ pub fn snapshot_after_events(
     cfg: &SimConfig,
     timeline: &[Transmission],
     arm: &RxArm,
-    workers: Option<usize>,
     events: u64,
 ) -> Vec<u8> {
-    let mut driver = ReceptionDriver::new(env, cfg, timeline, arm, workers, BATCH_PER_WORKER);
+    let mut driver = ReceptionDriver::start(env, cfg, timeline, arm);
     driver.run_events(events);
     driver.save().to_bytes()
 }
@@ -660,13 +623,11 @@ pub fn snapshot_after_events(
 /// boundary ([`ReceptionDriver::run_events`]), checkpoint it
 /// ([`ReceptionDriver::save`]) and continue later — in this process or
 /// another — via [`ReceptionDriver::restore`]. A checkpointed run is
-/// bit-identical to an uninterrupted one: a save flushes the pending
-/// prepare/decode batches, which only moves work between batches — the
-/// sequential busy/idle fold stays in event-pop order (= timeline order
-/// per receiver), completion keys keep their relative `seq` order
-/// within the `(time, priority)` class, and output slots are fixed by
-/// the receiver-major job table. Batch boundaries are already pinned as
-/// result-invariant by `tests/event_parity.rs`.
+/// bit-identical to an uninterrupted one: every capture is prepared the
+/// moment its `TxStart` pops and decoded the moment its completion pops,
+/// so at any event boundary the state is exactly the event queue, the
+/// decoded slots, the busy horizons and the in-flight captures — all of
+/// which the snapshot carries.
 pub struct ReceptionDriver<'a> {
     // ppr-lint: region(snapshot-state) begin testbed reception driver state
     /// snapshot: rebuilt — the shared pipeline stages are pure functions
@@ -675,12 +636,6 @@ pub struct ReceptionDriver<'a> {
     /// snapshot: rebuilt — squelch-passing receiver set per sender,
     /// derived from the frozen link gains.
     receivers_of: Vec<Vec<usize>>,
-    /// snapshot: rebuilt — execution knob (thread count), never
-    /// simulation state; results are invariant to it.
-    workers: usize,
-    /// snapshot: rebuilt — execution knob (batch sizing), never
-    /// simulation state; results are invariant to it.
-    batch_len: usize,
     /// snapshot: serialized — every scheduled event with its key
     /// verbatim, plus the queue's push/dispatch counters.
     q: BinaryHeapQueue<SimEvent>,
@@ -697,31 +652,35 @@ pub struct ReceptionDriver<'a> {
     /// the prepared frame and corrupted chips are reconstructed on
     /// restore from the stored stream position.
     in_flight: BTreeMap<usize, (RxJob, PreparedRx, bool)>,
-    /// snapshot: drained — a save flushes the prepare batch first
-    /// (result-invariant; see the type docs), so it is always empty in
-    /// the byte format.
-    prep_batch: Vec<RxJob>,
-    /// snapshot: drained — a save flushes the decode batch into `out`
-    /// first, so it is always empty in the byte format.
-    decode_batch: Vec<(RxJob, PreparedRx, bool)>,
     // ppr-lint: region(snapshot-state) end
 }
 
 impl<'a> ReceptionDriver<'a> {
     /// Builds a driver at event zero (nothing dispatched, the full
-    /// timeline scheduled). `workers` is the worker-thread count (`None`
-    /// = the `PPR_THREADS`/available-parallelism default) and
-    /// `batch_per_worker` the per-worker prepare/decode batch length;
-    /// results are invariant to both — they only move work between
-    /// batches, never reorder the sequential busy/idle fold or the
-    /// output slots.
+    /// timeline scheduled).
+    ///
+    /// `_workers` and `_batch_per_worker` are accepted and ignored: the
+    /// loop is single-threaded, and the scenario's threads are spent on
+    /// independent arms instead (`experiments::common::par_map`). The
+    /// parameters stay only because the `perfbench` package still
+    /// passes them; drop them with the next change to that package.
     pub fn new(
         env: &'a RadioEnv,
         cfg: &'a SimConfig,
         timeline: &'a [Transmission],
         arm: &'a RxArm,
-        workers: Option<usize>,
-        batch_per_worker: usize,
+        _workers: Option<usize>,
+        _batch_per_worker: usize,
+    ) -> Self {
+        Self::start(env, cfg, timeline, arm)
+    }
+
+    /// [`ReceptionDriver::new`] without the ignored parameters.
+    fn start(
+        env: &'a RadioEnv,
+        cfg: &'a SimConfig,
+        timeline: &'a [Transmission],
+        arm: &'a RxArm,
     ) -> Self {
         let pipe = RxPipeline::new(env, cfg, timeline, arm);
         let nr = env.testbed.receivers.len();
@@ -741,8 +700,7 @@ impl<'a> ReceptionDriver<'a> {
 
         // Receiver-major output slots: slot bases per receiver, filled
         // in timeline order as TxStart events pop — the reference
-        // evaluation order, independent of batch boundaries and worker
-        // count.
+        // evaluation order.
         let mut count = vec![0usize; nr];
         for tx in timeline {
             for &r in &receivers_of[tx.sender] {
@@ -755,11 +713,6 @@ impl<'a> ReceptionDriver<'a> {
         }
         let total_jobs = base[nr];
         let next_slot: Vec<usize> = base[..nr].to_vec();
-
-        let workers = workers
-            .unwrap_or_else(|| worker_threads(total_jobs))
-            .clamp(1, total_jobs.max(1));
-        let batch_len = (workers * batch_per_worker).max(1);
 
         // Timeline is (start_chip, id)-ordered, so scheduling in index
         // order makes `seq` reproduce timeline order at equal start
@@ -778,93 +731,55 @@ impl<'a> ReceptionDriver<'a> {
         ReceptionDriver {
             pipe,
             receivers_of,
-            workers,
-            batch_len,
             q,
             out,
             busy_until: vec![0u64; nr],
             next_slot,
             // Captures awaiting their completion event, keyed by output
-            // slot. Bounded by what is actually on the air plus one
-            // batch.
+            // slot: exactly what is on the air.
             in_flight: BTreeMap::new(),
-            prep_batch: Vec::with_capacity(batch_len),
-            decode_batch: Vec::with_capacity(batch_len),
         }
     }
 
-    /// Parallel prepare, then the sequential busy/idle fold in
-    /// event-pop order (= timeline order per receiver), then schedule
-    /// completions.
-    fn flush_prepare(&mut self) {
-        let prepared = fan_out(self.workers, &self.prep_batch, |j| self.pipe.prepare(j));
-        let timeline = self.pipe.timeline;
-        for (&job, prep) in self.prep_batch.iter().zip(prepared) {
-            let tx = &timeline[job.idx];
-            let idle = self.busy_until[job.r] <= tx.start_chip;
-            if idle && prep.pre_hit {
-                self.busy_until[job.r] = tx.end_chip();
-            }
-            self.q.schedule(
-                tx.end_chip(),
-                priority(prio::RECEPTION, 0),
-                SimEvent::ReceptionComplete {
-                    tx: job.idx,
-                    receiver: job.r,
-                    slot: job.slot,
-                },
-            );
-            self.in_flight.insert(job.slot, (job, prep, idle));
-        }
-        self.prep_batch.clear();
-    }
-
-    /// Parallel decode into the fixed output slots.
-    fn flush_decode(&mut self) {
-        let done = fan_out(self.workers, &self.decode_batch, |(job, prep, idle)| {
-            self.pipe.finish(job, prep, *idle)
-        });
-        for ((job, _, _), rec) in self.decode_batch.iter().zip(done) {
-            self.out[job.slot] = Some(rec);
-        }
-        self.decode_batch.clear();
-    }
-
-    /// Dispatches the next event (or, once the queue drains, performs a
-    /// final batch flush). Returns `false` when the run is complete.
+    /// Dispatches the next event. A `TxStart` prepares one capture per
+    /// audible receiver, folds its busy/idle verdict and schedules its
+    /// completion; a `ReceptionComplete` decodes that capture into its
+    /// slot. Returns `false` once the queue is drained.
     fn step(&mut self) -> bool {
+        let timeline = self.pipe.timeline;
         match self.q.pop() {
             Some((_, SimEvent::TxStart { tx: idx })) => {
-                for &r in &self.receivers_of[self.pipe.timeline[idx].sender] {
+                let tx = &timeline[idx];
+                for &r in &self.receivers_of[tx.sender] {
                     let slot = self.next_slot[r];
                     self.next_slot[r] += 1;
-                    self.prep_batch.push(RxJob { r, idx, slot });
-                }
-                if self.prep_batch.len() >= self.batch_len {
-                    self.flush_prepare();
+                    let job = RxJob { r, idx, slot };
+                    let prep = self.pipe.prepare(&job);
+                    let idle = self.busy_until[r] <= tx.start_chip;
+                    if idle && prep.pre_hit {
+                        self.busy_until[r] = tx.end_chip();
+                    }
+                    self.q.schedule(
+                        tx.end_chip(),
+                        priority(prio::RECEPTION, 0),
+                        SimEvent::ReceptionComplete {
+                            tx: idx,
+                            receiver: r,
+                            slot,
+                        },
+                    );
+                    self.in_flight.insert(slot, (job, prep, idle));
                 }
             }
             Some((_, SimEvent::ReceptionComplete { slot, .. })) => {
-                let entry = self
+                let (job, prep, idle) = self
                     .in_flight
                     .remove(&slot)
                     .expect("completion event for an in-flight reception");
-                self.decode_batch.push(entry);
-                if self.decode_batch.len() >= self.batch_len {
-                    self.flush_decode();
-                }
+                self.out[slot] = Some(self.pipe.finish(&job, &prep, idle));
             }
             Some((_, ev)) => unreachable!("unexpected {ev:?} in the testbed driver"),
-            None => {
-                if !self.prep_batch.is_empty() {
-                    self.flush_prepare();
-                    return true; // the flush scheduled completion events
-                }
-                if !self.decode_batch.is_empty() {
-                    self.flush_decode();
-                }
-                return false;
-            }
+            None => return false,
         }
         true
     }
@@ -875,8 +790,7 @@ impl<'a> ReceptionDriver<'a> {
     }
 
     /// Drives the run until `events` total dispatches (a stable epoch
-    /// boundary: the count is invariant to workers and batching) or
-    /// until the run completes, whichever is first.
+    /// boundary) or until the run completes, whichever is first.
     pub fn run_events(&mut self, events: u64) {
         while self.q.dispatched() < events {
             if !self.step() {
@@ -895,16 +809,9 @@ impl<'a> ReceptionDriver<'a> {
             .collect()
     }
 
-    /// Checkpoints the driver. Flushes the pending batches first (see
-    /// the type docs for why that is bit-identical), so the snapshot
-    /// carries only queue + slots + busy horizons + in-flight captures.
-    pub fn save(&mut self) -> RxSnapshot {
-        if !self.prep_batch.is_empty() {
-            self.flush_prepare();
-        }
-        if !self.decode_batch.is_empty() {
-            self.flush_decode();
-        }
+    /// Checkpoints the driver: queue + slots + busy horizons + in-flight
+    /// captures (see the type docs for why that is the whole state).
+    pub fn save(&self) -> RxSnapshot {
         let (queue, next_seq, dispatched) = self.q.save_state();
         let cfg = self.pipe.cfg;
         let in_flight = self
@@ -953,13 +860,11 @@ impl<'a> ReceptionDriver<'a> {
         cfg: &'a SimConfig,
         timeline: &'a [Transmission],
         arm: &'a RxArm,
-        workers: Option<usize>,
-        batch_per_worker: usize,
         snap: &RxSnapshot,
     ) -> Result<Self, SnapError> {
         validate_rx_identity(env, cfg, timeline, arm, snap)?;
         validate_rx_progress(env, timeline, snap)?;
-        let mut driver = ReceptionDriver::new(env, cfg, timeline, arm, workers, batch_per_worker);
+        let mut driver = ReceptionDriver::start(env, cfg, timeline, arm);
         let nr = env.testbed.receivers.len();
         let total_jobs = driver.out.len();
         if snap.next_slot.len() != nr {
@@ -1006,18 +911,13 @@ impl<'a> ReceptionDriver<'a> {
         driver.out = snap.out.clone();
         // Reconstruct the in-flight captures: physics from the run
         // inputs, chip noise from the stored stream positions.
-        let prepared = fan_out(driver.workers, &snap.in_flight, |f| {
+        for f in &snap.in_flight {
             let job = RxJob {
                 r: f.receiver,
                 idx: f.tx_index,
                 slot: f.slot,
             };
-            (
-                job,
-                driver.pipe.prepare_with(&job, StdRng::from_state(f.rng)),
-            )
-        });
-        for (f, (job, prep)) in snap.in_flight.iter().zip(prepared) {
+            let prep = driver.pipe.prepare_with(&job, StdRng::from_state(f.rng));
             driver.in_flight.insert(job.slot, (job, prep, f.idle));
         }
         Ok(driver)
@@ -1156,9 +1056,9 @@ pub fn resume_receptions_reference(
 }
 
 /// The per-(transmission, receiver) pipeline stages of the event
-/// driver: phase A ([`RxPipeline::prepare`]) runs in parallel batches,
-/// the busy/idle fold runs sequentially in event order, and phase C
-/// ([`RxPipeline::finish`]) decodes in parallel batches again.
+/// driver: [`RxPipeline::prepare`] runs when a transmission starts,
+/// the busy/idle fold follows it in event order, and
+/// [`RxPipeline::finish`] decodes when the reception completes.
 struct RxPipeline<'a> {
     env: &'a RadioEnv,
     cfg: &'a SimConfig,
@@ -1204,7 +1104,7 @@ impl<'a> RxPipeline<'a> {
         }
     }
 
-    /// Phase A: everything independent of the receiver's busy state.
+    /// Everything independent of the receiver's busy state.
     fn prepare(&self, job: &RxJob) -> PreparedRx {
         let tx = &self.timeline[job.idx];
         let rng = StdRng::seed_from_u64(reception_rng_seed(self.cfg.seed, tx.id, job.r));
@@ -1233,7 +1133,7 @@ impl<'a> RxPipeline<'a> {
         }
     }
 
-    /// Phase C: decode + delivery under the resolved idle flag.
+    /// Decode + delivery under the resolved idle flag.
     fn finish(&self, job: &RxJob, prep: &PreparedRx, idle: bool) -> Reception {
         let tx = &self.timeline[job.idx];
         let (acq, rx_frame) = self.fast.receive_words(&prep.frame, &prep.corrupted, idle);
@@ -1274,8 +1174,8 @@ impl<'a> RxPipeline<'a> {
 
 /// The per-reception RNG seed: `(master seed, transmission id, receiver)`
 /// — one independent noise stream per (transmission, receiver) pair,
-/// which is what makes the parallel loop bit-identical to the sequential
-/// one.
+/// which is what makes a reception's outcome independent of the order
+/// the event driver and the receiver-major reference visit it in.
 pub(crate) fn reception_rng_seed(seed: u64, tx_id: u64, receiver: usize) -> u64 {
     seed ^ (tx_id.wrapping_mul(0x2545_F491_4F6C_DD1D)) ^ ((receiver as u64) << 56)
 }

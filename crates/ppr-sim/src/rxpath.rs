@@ -129,8 +129,8 @@ impl FastRx {
 
     /// Does the preamble pattern of a packed capture survive within the
     /// sync threshold? This is the only per-reception fact the busy/idle
-    /// chain of a receiver needs, so the parallel reception loop can
-    /// resolve acquisition order without decoding anything.
+    /// chain of a receiver needs, so the reception loop can resolve
+    /// acquisition order without decoding anything.
     pub fn preamble_hit_words(&self, corrupted_chips: &ChipWords) -> bool {
         self.preamble
             .distance_at_words(corrupted_chips, Self::preamble_pattern_offset())

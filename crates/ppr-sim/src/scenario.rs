@@ -193,8 +193,10 @@ pub struct Scenario {
     pub arq_packets: usize,
     /// Source packets in the relay-forwarding experiment.
     pub relay_packets: usize,
-    /// Reception-loop worker threads (`None` = `PPR_THREADS` /
-    /// available parallelism, resolved at the reception loop).
+    /// Worker threads for an experiment's independent arms (`None` =
+    /// `PPR_THREADS` / available parallelism, resolved by
+    /// [`crate::experiments::common::par_map`]). Every event loop is
+    /// single-threaded; results do not depend on this value.
     pub threads: Option<usize>,
     /// Channel backend.
     pub backend: Backend,
@@ -383,7 +385,10 @@ pub const SCENARIO_KEYS: &[(&str, &str)] = &[
         "relay_packets",
         "relay packets >= 1, e.g. relay_packets=400",
     ),
-    ("threads", "worker threads >= 1, e.g. threads=4"),
+    (
+        "threads",
+        "worker threads for independent arms >= 1, e.g. threads=4",
+    ),
     ("backend", "chip (dsp reserved, not yet wired)"),
     ("load", "offered load kbit/s/node, e.g. load=13.8"),
     ("carrier_sense", "true | false"),
@@ -467,7 +472,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the reception-loop worker count.
+    /// Sets the worker count spent on an experiment's independent arms.
     pub fn threads(mut self, v: usize) -> Self {
         self.threads = Some(v);
         self

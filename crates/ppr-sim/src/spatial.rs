@@ -7,8 +7,8 @@
 //! (see [`ppr_channel::pathloss::PathLossModel::interference_radius_m`]),
 //! so any node within that radius of a query point is guaranteed to sit
 //! in the 3 × 3 cell neighborhood around it. Event dispatch then
-//! enumerates only those candidates instead of the whole mesh, and the
-//! grid cell doubles as the *shard* unit for batched parallel decoding.
+//! enumerates only those candidates instead of the whole mesh; the cell
+//! count is reported as the run's shard count.
 //!
 //! Candidate enumeration is deliberately a **superset** of the truly
 //! audible set: the caller filters by exact link gain. The containment
@@ -89,7 +89,7 @@ impl SpatialIndex {
         (self.cols, self.rows)
     }
 
-    /// Total cells (the shard count for per-shard parallel dispatch).
+    /// Total cells (the shard count the mesh report prints).
     pub fn shard_count(&self) -> usize {
         self.cells.len()
     }
@@ -126,8 +126,8 @@ impl SpatialIndex {
         out
     }
 
-    /// Mean nodes per non-empty cell — the shard occupancy the dispatch
-    /// fan-out sees.
+    /// Mean nodes per non-empty cell — the candidate load one dispatch
+    /// query sees.
     pub fn mean_occupancy(&self) -> f64 {
         let non_empty = self.cells.iter().filter(|c| !c.is_empty()).count();
         if non_empty == 0 {

@@ -1,14 +1,13 @@
 //! Event-core parity: the discrete-event drivers must be bit-identical
-//! to their pinned references, for every tuning knob.
+//! to their pinned references.
 //!
 //! Two layers of the claim:
 //!
 //! 1. **Timeline** — [`generate_timeline`] (event queue) vs
 //!    [`generate_timeline_reference`] (the original per-sender merge).
-//! 2. **Reception loop** — [`ReceptionDriver`] (event queue + batched
-//!    fan-out) vs [`process_receptions_reference`] (the sequential
-//!    `&[bool]` specification), across worker counts *and* batch sizes:
-//!    the reception stream may depend on neither.
+//! 2. **Reception loop** — [`process_receptions`] (the single-threaded
+//!    event driver over packed chips) vs [`process_receptions_reference`]
+//!    (the sequential `&[bool]` specification).
 //!
 //! Plus mesh resume inside a decode-flush window.
 //!
@@ -20,8 +19,8 @@ use ppr::channel::pathloss::PathLossModel;
 use ppr::mac::schemes::DeliveryScheme;
 use ppr::sim::geometry::{Point, Testbed};
 use ppr::sim::network::{
-    generate_timeline, generate_timeline_reference, office_model, process_receptions_reference,
-    RadioEnv, ReceptionDriver, RxArm, SimConfig,
+    generate_timeline, generate_timeline_reference, office_model, process_receptions,
+    process_receptions_reference, RadioEnv, RxArm, SimConfig,
 };
 use ppr::sim::spatial::SpatialIndex;
 use proptest::prelude::*;
@@ -52,7 +51,7 @@ fn timeline_event_core_matches_reference() {
 }
 
 #[test]
-fn reception_loop_is_invariant_to_workers_and_batch() {
+fn reception_loop_matches_reference() {
     let c = cfg(42.4, 7);
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
@@ -65,19 +64,7 @@ fn reception_loop_is_invariant_to_workers_and_batch() {
 
     let reference = process_receptions_reference(&env, &c, &timeline, &arm);
     assert!(!reference.is_empty());
-    // workers=None resolves through PPR_THREADS / available parallelism
-    // — a worker count no explicit ladder rung covers (this is the
-    // default every experiment actually runs with).
-    for workers in [Some(1usize), Some(2), Some(4), Some(8), None] {
-        for batch_per_worker in [1usize, 4, 8, 32] {
-            let got = ReceptionDriver::new(&env, &c, &timeline, &arm, workers, batch_per_worker)
-                .run_to_end();
-            assert_eq!(
-                got, reference,
-                "event driver diverged at workers={workers:?}, batch={batch_per_worker}"
-            );
-        }
-    }
+    assert_eq!(process_receptions(&env, &c, &timeline, &arm), reference);
 }
 
 #[test]
@@ -90,9 +77,9 @@ fn mesh_resume_inside_a_flush_window_is_bit_identical() {
     // prints.
     use ppr::sim::experiments::mesh::{run_mesh, MeshDriver, MeshParams};
     let params = MeshParams::benign(300, 12.0, 2, 6, 250);
-    let reference = run_mesh(&params, Some(2));
+    let reference = run_mesh(&params);
 
-    let mut driver = MeshDriver::new(&params, Some(1));
+    let mut driver = MeshDriver::new(&params, None);
     let mut epochs_inside_flush = Vec::new();
     loop {
         let before = driver.dispatched();
@@ -112,18 +99,18 @@ fn mesh_resume_inside_a_flush_window_is_bit_identical() {
         "no epoch with a non-empty pending batch — SAFE_WINDOW flush never observed"
     );
     // Resume from an early, a middle and the last captured mid-flush
-    // epoch, each across a worker-count change.
+    // epoch.
     let picks = [
         epochs_inside_flush[0],
         epochs_inside_flush[epochs_inside_flush.len() / 2],
         *epochs_inside_flush.last().unwrap(),
     ];
     for &events in &picks {
-        let mut d = MeshDriver::new(&params, Some(1));
+        let mut d = MeshDriver::new(&params, None);
         d.run_events(events);
         let snap = d.save();
         assert!(!snap.pending.is_empty(), "picked epoch lost its batch");
-        let resumed = MeshDriver::restore(&params, Some(4), &snap)
+        let resumed = MeshDriver::restore(&params, &snap)
             .expect("mid-flush snapshot restores")
             .run_to_end();
         assert_eq!(resumed, reference, "mid-flush resume diverged at {events}");

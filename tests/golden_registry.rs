@@ -37,7 +37,7 @@ fn registry_json_fingerprint_is_pinned() {
     // Every knob pinned: builder overrides beat any PPR_* environment
     // the harness might set, and threads=1 keeps the scenario snapshot
     // machine-independent (results are thread-count invariant anyway;
-    // the reception loop's parity tests prove that).
+    // `every_experiment_is_thread_invariant` below proves that).
     let scenario = ScenarioBuilder::new()
         .duration_s(2.0)
         .seed(0x0050_5052)
@@ -111,4 +111,51 @@ fn meshjam_json_fingerprint_is_pinned() {
          {MESHJAM_FINGERPRINT:#018x}. If the change is intentional, update \
          MESHJAM_FINGERPRINT and explain the behavioral delta in the commit."
     );
+}
+
+#[test]
+fn every_experiment_is_thread_invariant() {
+    // The golden corpora pin threads=1, which runs every experiment's
+    // arms inline. This drives the concurrent path: the same testbed
+    // registry at three threads must render the same reports and the
+    // same headline metrics.
+    let build = |threads: usize| {
+        ScenarioBuilder::new()
+            .duration_s(2.0)
+            .seed(0x0050_5052)
+            .threads(threads)
+            .arq_packets(40)
+            .relay_packets(60)
+            .build()
+    };
+    let (serial, parallel) = (build(1), build(3));
+    let mut prior_s = Vec::new();
+    let mut prior_p = Vec::new();
+    for exp in registry() {
+        if exp.id() == "mesh10k" || exp.id() == "meshjam" {
+            continue;
+        }
+        let rs = exp.run_with(&serial, &prior_s);
+        let rp = exp.run_with(&parallel, &prior_p);
+        assert_eq!(
+            rs.render_text(),
+            rp.render_text(),
+            "threads changed the report of {}",
+            exp.id()
+        );
+        let bits = |r: &ppr::sim::results::ExperimentResult| -> Vec<(String, u64)> {
+            r.metrics
+                .iter()
+                .map(|(k, v)| (k.clone(), v.to_bits()))
+                .collect()
+        };
+        assert_eq!(
+            bits(&rs),
+            bits(&rp),
+            "threads changed the metrics of {}",
+            exp.id()
+        );
+        prior_s.push(rs);
+        prior_p.push(rp);
+    }
 }

@@ -6,7 +6,7 @@
 //!
 //! 1. **Reception streams** — `process_receptions_checkpointed` vs the
 //!    uninterrupted event driver, property-tested across checkpoint
-//!    epochs, worker counts and loads.
+//!    epochs and seeds.
 //! 2. **Experiments** — every registry entry renders the same report
 //!    with `checkpoint` set.
 //! 3. **The format itself** — a canonical snapshot's bytes are pinned
@@ -20,9 +20,9 @@
 use ppr::mac::schemes::DeliveryScheme;
 use ppr::sim::experiments::registry;
 use ppr::sim::network::{
-    generate_timeline, process_receptions_checkpointed, resume_receptions_reference,
-    snapshot_after_events, RadioEnv, Reception, ReceptionDriver, RxArm, SimConfig, Transmission,
-    BATCH_PER_WORKER,
+    generate_timeline, process_receptions, process_receptions_checkpointed,
+    resume_receptions_reference, snapshot_after_events, RadioEnv, Reception, ReceptionDriver,
+    RxArm, SimConfig, Transmission,
 };
 use ppr::sim::results::fingerprint;
 use ppr::sim::scenario::ScenarioBuilder;
@@ -53,23 +53,21 @@ fn reception_checkpoint_is_bit_identical_at_every_epoch_class() {
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
     let arm = arm();
-    let reference = ReceptionDriver::new(&env, &c, &timeline, &arm, Some(2), 8).run_to_end();
+    let reference = process_receptions(&env, &c, &timeline, &arm);
     assert!(!reference.is_empty());
     // Epoch 0 (nothing dispatched), mid-run, and beyond the final event.
     for events in [0u64, 1, 17, 500, 5_000, u64::MAX] {
-        let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, Some(3), events);
+        let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, events);
         assert_eq!(got, reference, "diverged at checkpoint {events}");
     }
 }
 
 proptest! {
-    /// Any (checkpoint epoch, worker count, seed) combination resumes
-    /// bit-identically. Short duration: the vendored proptest runs a
+    /// Any (checkpoint epoch, seed) combination resumes bit-identically. Short duration: the vendored proptest runs a
     /// fixed 256 cases.
     #[test]
     fn checkpointed_reception_stream_matches_uninterrupted(
         events in 0u64..1_500,
-        workers in 1usize..5,
         seed in 1u64..50,
     ) {
         let mut c = cfg(42.4, seed);
@@ -77,8 +75,8 @@ proptest! {
         let env = RadioEnv::new(c.seed);
         let timeline = generate_timeline(&env, &c);
         let arm = arm();
-        let reference = ReceptionDriver::new(&env, &c, &timeline, &arm, Some(1), 1).run_to_end();
-        let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, Some(workers), events);
+        let reference = process_receptions(&env, &c, &timeline, &arm);
+        let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, events);
         prop_assert_eq!(got, reference);
     }
 }
@@ -132,7 +130,7 @@ fn snapshot_byte_format_is_pinned() {
     let c = cfg(42.4, 11);
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
-    let bytes = snapshot_after_events(&env, &c, &timeline, &arm(), Some(2), 300);
+    let bytes = snapshot_after_events(&env, &c, &timeline, &arm(), 300);
     let mut snap = RxSnapshot::from_bytes(&bytes).expect("canonical snapshot parses");
     // The kernel signature is provenance, not state: it names the host
     // CPU's dispatch choice, so pin the bytes with it normalized.
@@ -159,10 +157,10 @@ fn mesh_resume_mid_jam_burst_is_bit_identical() {
     params.churn = 2.0;
     params.arq_retries = 5;
     params.arq_backoff_milli = 1500;
-    let reference = run_mesh(&params, Some(2));
+    let reference = run_mesh(&params);
 
     let mut mid_burst = Vec::new();
-    let mut driver = MeshDriver::new(&params, Some(1));
+    let mut driver = MeshDriver::new(&params, None);
     loop {
         let before = driver.dispatched();
         driver.run_events(before + 1);
@@ -182,12 +180,12 @@ fn mesh_resume_mid_jam_burst_is_bit_identical() {
         "no epoch caught the reactive jammer mid-burst"
     );
     for &events in &[mid_burst[0], *mid_burst.last().unwrap()] {
-        let mut d = MeshDriver::new(&params, Some(1));
+        let mut d = MeshDriver::new(&params, None);
         d.run_events(events);
         let snap = d.save();
         let bytes = snap.to_bytes();
         let parsed = MeshSnapshot::from_bytes(&bytes).expect("mesh snapshot round-trips");
-        let resumed = MeshDriver::restore(&params, Some(4), &parsed)
+        let resumed = MeshDriver::restore(&params, &parsed)
             .expect("mid-burst snapshot restores")
             .run_to_end();
         assert_eq!(
@@ -197,7 +195,7 @@ fn mesh_resume_mid_jam_burst_is_bit_identical() {
     }
 
     // A snapshot taken under one jammer must not restore under another.
-    let mut d = MeshDriver::new(&params, Some(1));
+    let mut d = MeshDriver::new(&params, None);
     d.run_events(50);
     let snap = d.save();
     let mut other = params;
@@ -206,7 +204,7 @@ fn mesh_resume_mid_jam_burst_is_bit_identical() {
         duty: 0.25,
     };
     assert!(matches!(
-        MeshDriver::restore(&other, Some(1), &snap),
+        MeshDriver::restore(&other, &snap),
         Err(SnapError::IdentityMismatch(_))
     ));
 }
@@ -217,7 +215,7 @@ fn snapshot_rejects_tampering_and_wrong_identity() {
     let env = RadioEnv::new(c.seed);
     let timeline = generate_timeline(&env, &c);
     let arm = arm();
-    let bytes = snapshot_after_events(&env, &c, &timeline, &arm, Some(1), 200);
+    let bytes = snapshot_after_events(&env, &c, &timeline, &arm, 200);
 
     // Flipping any payload bit breaks the trailing fingerprint.
     let mut bad = bytes.clone();
@@ -262,8 +260,7 @@ fn resume_both(
     [
         (
             "event driver",
-            ReceptionDriver::restore(env, c, timeline, arm, Some(2), BATCH_PER_WORKER, snap)
-                .map(|d| d.run_to_end()),
+            ReceptionDriver::restore(env, c, timeline, arm, snap).map(|d| d.run_to_end()),
         ),
         (
             "bool reference",
@@ -282,7 +279,7 @@ fn tampered_in_flight_captures_are_rejected_by_both_resume_legs() {
     let snap = [200u64, 400, 800, 1600]
         .into_iter()
         .map(|events| {
-            let bytes = snapshot_after_events(&env, &c, &timeline, &arm, Some(2), events);
+            let bytes = snapshot_after_events(&env, &c, &timeline, &arm, events);
             RxSnapshot::from_bytes(&bytes).expect("snapshot parses")
         })
         .find(|s| !s.in_flight.is_empty() && s.out.iter().any(Option::is_some))
@@ -335,7 +332,7 @@ fn tampered_in_flight_captures_are_rejected_by_both_resume_legs() {
     let mut orphaned = snap.clone();
     orphaned.in_flight.remove(0);
     assert!(
-        ReceptionDriver::restore(&env, &c, &timeline, &arm, Some(2), 8, &orphaned).is_err(),
+        ReceptionDriver::restore(&env, &c, &timeline, &arm, &orphaned).is_err(),
         "event driver accepted a completion without a capture"
     );
 }
