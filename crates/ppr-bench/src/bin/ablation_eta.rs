@@ -6,7 +6,7 @@
 //! cost one codeword of retransmission each).
 
 use ppr_mac::schemes::DeliveryScheme;
-use ppr_sim::experiments::common::{fdr_cdf, CapacityRun};
+use ppr_sim::experiments::common::{fold_hint_traces, CapacityRun, LinkFold};
 use ppr_sim::metrics::HintHistogram;
 use ppr_sim::network::RxArm;
 use ppr_sim::report::{fmt, Table};
@@ -18,17 +18,10 @@ fn main() {
     let run = CapacityRun::from_scenario(&scenario, 13.8, false);
 
     // Hint statistics are threshold-independent: collect once.
-    let stats_arm = RxArm {
-        scheme: DeliveryScheme::Ppr { eta: 6 },
-        postamble: true,
-        collect_symbols: true,
-    };
     let mut hist = HintHistogram::new();
-    for rec in run.receptions(&stats_arm) {
-        for (&h, &c) in rec.symbol_hints.iter().zip(&rec.symbol_correct) {
-            hist.record(h, c);
-        }
-    }
+    fold_hint_traces(&run, DeliveryScheme::Ppr { eta: 6 }, |hints, correct| {
+        hist.record_packet(hints, correct)
+    });
 
     let mut t = Table::new(&[
         "eta",
@@ -43,10 +36,14 @@ fn main() {
             postamble: true,
             collect_symbols: false,
         };
-        let recs = run.receptions(&arm);
-        let cdf = fdr_cdf(&run.env, &recs, run.cfg.body_bytes);
-        let claimed: usize = recs.iter().map(|r| r.delivered_claimed).sum();
-        let correct: usize = recs.iter().map(|r| r.delivered_correct).sum();
+        let mut links = LinkFold::new(&run.env);
+        let (mut claimed, mut correct) = (0usize, 0usize);
+        run.for_each_reception(&arm, |rec| {
+            links.add(&rec);
+            claimed += rec.delivered_claimed;
+            correct += rec.delivered_correct;
+        });
+        let cdf = links.fdr_cdf(run.cfg.body_bytes);
         let wrong_frac = if claimed > 0 {
             (claimed - correct) as f64 / claimed as f64
         } else {

@@ -5,7 +5,7 @@
 //! interval DP against the production `O(L)` planner), the CRC-32
 //! ladder (1-table vs slice-by-16 vs PCLMULQDQ folding), the DSP kernel
 //! ladder (`dsp_{axpy,demod,sova}_<kernel>`), plus a small end-to-end
-//! reception run, and writes `BENCH_packed.json` (schema v7) so CI can
+//! reception run, and writes `BENCH_packed.json` (schema v8) so CI can
 //! archive the perf trajectory.
 //!
 //! The event-core rows time the single-threaded reception loop once
@@ -13,7 +13,10 @@
 //! (`mesh10k_*`: wall ms, measured events/sec and simulated
 //! packets/sec). Schema v7 drops the v6 worker and batch ladders
 //! (`recv_event_w*`, `recv_event_b*`, `mesh10k_w*`): both loops are
-//! serial now, so the ladders have nothing left to vary.
+//! serial now, so the ladders have nothing left to vary. Schema v8 adds
+//! `fdr_collect_2s_ms`: Fig. 10's whole six-arm collection at 2
+//! simulated seconds, three arms decoded and three derived, beside the
+//! one-arm `process_receptions_2s_ppr_ms`.
 //! Wall-clock reads live here, not in `ppr-sim` — simulation code is
 //! banned from timing itself (the ppr-lint `determinism` rule).
 //!
@@ -33,8 +36,10 @@ use ppr_phy::frame_rx::ChipReceiver;
 use ppr_phy::pulse::HalfSine;
 use ppr_phy::simd::{DespreadKernel, DspKernel};
 use ppr_phy::sova;
+use ppr_sim::experiments::fdr;
 use ppr_sim::experiments::mesh::{run_mesh, MeshParams, MESH_BODY_BYTES};
 use ppr_sim::network::{generate_timeline, process_receptions, RadioEnv, RxArm, SimConfig};
+use ppr_sim::scenario::ScenarioBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -285,6 +290,14 @@ fn main() {
     ));
     entries.push(("process_receptions_2s_count".into(), recs.len() as f64));
 
+    // Fig. 10's six curves at the same simulated length: the postamble
+    // arms decode concurrently, the no-postamble arms are derived.
+    let sc = ScenarioBuilder::new().duration_s(2.0).build();
+    let t = Instant::now();
+    let curves = fdr::collect(&sc, 13.8, false);
+    entries.push(("fdr_collect_2s_ms".into(), t.elapsed().as_secs_f64() * 1e3));
+    std::hint::black_box(curves);
+
     // The event core at scale: the 10k-node mesh flood, measured.
     // events/sec here is the wall-clock figure the mesh10k experiment
     // deliberately does not compute for itself.
@@ -309,7 +322,7 @@ fn main() {
 
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"schema\": \"ppr-bench-packed/v7\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
+        "  \"schema\": \"ppr-bench-packed/v8\",\n  \"threads\": {},\n  \"despread_kernel\": \"{}\",\n  \"dsp_kernel\": \"{}\",\n",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),

@@ -1,19 +1,21 @@
-//! Shared experiment machinery: standard runs, per-link aggregation,
-//! the experiment parameter conventions used across figures, and
-//! [`par_map`] — the one place the simulator starts threads.
+//! Shared experiment machinery: standard runs, the folds the testbed
+//! experiments consume their reception streams with (per-link stats,
+//! hint traces), the experiment parameter conventions used across
+//! figures, and [`par_map`] — the one place the simulator starts
+//! threads.
 //!
 //! Parameter defaults and environment overrides live in
 //! [`crate::scenario`] — this module only consumes a resolved
 //! [`Scenario`].
 
 use crate::geometry::Testbed;
-use crate::metrics::Cdf;
+use crate::metrics::{Cdf, HintHistogram};
 use crate::network::{
-    generate_timeline, office_model, process_receptions, process_receptions_checkpointed, RadioEnv,
-    Reception, RxArm, SimConfig, Transmission, SQUELCH_SNR,
+    generate_timeline, office_model, stream_receptions, RadioEnv, Reception, RxArm, SimConfig,
+    Transmission, SQUELCH_SNR,
 };
 use crate::rxpath::Acquisition;
-use crate::scenario::{Scenario, DEFAULT_SEED};
+use crate::scenario::{Scenario, DEFAULT_SEED, LOADS};
 use ppr_mac::schemes::DeliveryScheme;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -22,14 +24,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// parallelism default), returning the outputs in input order.
 ///
 /// This is where the simulator's threads belong: the jobs are the
-/// independent arms of one experiment (delivery schemes, postamble
-/// arms, chunk counts, duty points), each a whole single-threaded run
-/// over shared read-only inputs, so the output is the same for every
-/// thread count. Each worker claims the next job index from a shared
-/// counter, so arms of unequal cost balance. The calling thread works
-/// too; one scope is opened per call and nothing outlives it. With one
-/// thread or at most one job the map runs inline, spawning nothing. A
-/// panicking job re-raises its own panic in the caller.
+/// independent arms and loads of one experiment (delivery schemes,
+/// offered loads, chunk counts, duty points), each a whole
+/// single-threaded run over shared read-only inputs or its own
+/// timeline, so the output is the same for every thread count. Each
+/// worker claims the next job index from a shared counter, so arms of
+/// unequal cost balance. The calling thread works too; one scope is
+/// opened per call and nothing outlives it. With one thread or at most
+/// one job the map runs inline, spawning nothing. A panicking job
+/// re-raises its own panic in the caller.
 pub fn par_map<J: Sync, T: Send>(
     scenario: &Scenario,
     jobs: &[J],
@@ -127,20 +130,25 @@ impl CapacityRun {
     }
 
     /// Evaluates one receiver arm over the shared timeline with the
-    /// event-driven [`crate::network::ReceptionDriver`].
+    /// event-driven [`crate::network::ReceptionDriver`], handing each
+    /// reception to `f` as it completes ([`stream_receptions`]); none is
+    /// kept, so fold what you need. Completion order is not slot order:
+    /// a fold must not depend on it.
     ///
     /// With a `checkpoint` set, the run is driven to that event
     /// boundary, serialized through the binary snapshot format and
-    /// completed from the decoded bytes — bit-identical to the
+    /// completed from the decoded bytes — the same receptions as the
     /// uninterrupted run, which `tests/snapshot_roundtrip.rs` pins for
     /// the whole registry.
-    pub fn receptions(&self, arm: &RxArm) -> Vec<Reception> {
-        match self.checkpoint {
-            None => process_receptions(&self.env, &self.cfg, &self.timeline, arm),
-            Some(events) => {
-                process_receptions_checkpointed(&self.env, &self.cfg, &self.timeline, arm, events)
-            }
-        }
+    pub fn for_each_reception(&self, arm: &RxArm, mut f: impl FnMut(Reception)) {
+        stream_receptions(
+            &self.env,
+            &self.cfg,
+            &self.timeline,
+            arm,
+            self.checkpoint,
+            |_, rec| f(rec),
+        );
     }
 }
 
@@ -176,21 +184,42 @@ impl LinkStats {
     }
 }
 
-/// Groups receptions by usable link, returning stats per (sender,
-/// receiver) link in `env.links()` order.
-pub fn per_link_stats(env: &RadioEnv, recs: &[Reception]) -> Vec<((usize, usize), LinkStats)> {
-    let links = env.links();
-    let mut stats: Vec<LinkStats> = vec![LinkStats::default(); links.len()];
-    // BTreeMap, not HashMap: output order is driven by `links`, but the
-    // experiment layer is deterministic *by construction* — no hashed
-    // iteration order anywhere it could someday leak into results.
-    let index: std::collections::BTreeMap<(usize, usize), usize> =
-        links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-    for rec in recs {
-        let Some(&i) = index.get(&(rec.sender, rec.receiver)) else {
-            continue;
+/// Per-link aggregation of a reception stream: one [`LinkStats`] per
+/// usable link, in `env.links()` order. Every field is an integer sum,
+/// so the order receptions arrive in cannot change the result.
+#[derive(Debug, Clone)]
+pub struct LinkFold {
+    links: Vec<(usize, usize)>,
+    /// Position in `links` of link `(s, r)`, at `s * receivers + r`.
+    index: Vec<Option<usize>>,
+    receivers: usize,
+    stats: Vec<LinkStats>,
+}
+
+impl LinkFold {
+    /// An empty fold over the environment's usable links.
+    pub fn new(env: &RadioEnv) -> Self {
+        let links = env.links();
+        let receivers = env.testbed.receivers.len();
+        let mut index = vec![None; env.testbed.senders.len() * receivers];
+        for (i, &(s, r)) in links.iter().enumerate() {
+            index[s * receivers + r] = Some(i);
+        }
+        LinkFold {
+            stats: vec![LinkStats::default(); links.len()],
+            links,
+            index,
+            receivers,
+        }
+    }
+
+    /// Folds one reception in; receptions off the usable links are
+    /// ignored.
+    pub fn add(&mut self, rec: &Reception) {
+        let Some(i) = self.index[rec.sender * self.receivers + rec.receiver] else {
+            return;
         };
-        let s = &mut stats[i];
+        let s = &mut self.stats[i];
         s.frames += 1;
         s.payload_offered += rec.payload_len;
         s.delivered_correct += rec.delivered_correct;
@@ -200,27 +229,108 @@ pub fn per_link_stats(env: &RadioEnv, recs: &[Reception]) -> Vec<((usize, usize)
             Acquisition::None => {}
         }
     }
-    links.into_iter().zip(stats).collect()
+
+    /// Stats per (sender, receiver) link, in `env.links()` order.
+    pub fn iter(&self) -> impl Iterator<Item = ((usize, usize), &LinkStats)> {
+        self.links.iter().copied().zip(&self.stats)
+    }
+
+    /// Stats of the links that carried at least one frame.
+    fn active(&self) -> impl Iterator<Item = &LinkStats> {
+        self.stats.iter().filter(|s| s.frames > 0)
+    }
+
+    /// Per-link FDR samples over the active links.
+    pub fn fdr_cdf(&self, body_bytes: usize) -> Cdf {
+        Cdf::from_samples(self.active().map(|s| s.fdr(body_bytes)).collect())
+    }
+
+    /// Per-link throughput samples (kbit/s) over the active links.
+    pub fn throughput_cdf(&self, duration_s: f64) -> Cdf {
+        Cdf::from_samples(
+            self.active()
+                .map(|s| s.throughput_kbps(duration_s))
+                .collect(),
+        )
+    }
 }
 
-/// Per-link FDR samples for a reception set.
-pub fn fdr_cdf(env: &RadioEnv, recs: &[Reception], body_bytes: usize) -> Cdf {
-    let samples = per_link_stats(env, recs)
-        .into_iter()
-        .filter(|(_, s)| s.frames > 0)
-        .map(|(_, s)| s.fdr(body_bytes))
-        .collect();
-    Cdf::from_samples(samples)
+/// Streams one arm over the run into a [`LinkFold`].
+pub fn per_link_stats(run: &CapacityRun, arm: &RxArm) -> LinkFold {
+    let mut fold = LinkFold::new(&run.env);
+    run.for_each_reception(arm, |rec| fold.add(&rec));
+    fold
 }
 
-/// Per-link throughput samples (kbit/s) for a reception set.
-pub fn throughput_cdf(env: &RadioEnv, recs: &[Reception], duration_s: f64) -> Cdf {
-    let samples = per_link_stats(env, recs)
-        .into_iter()
-        .filter(|(_, s)| s.frames > 0)
-        .map(|(_, s)| s.throughput_kbps(duration_s))
-        .collect();
-    Cdf::from_samples(samples)
+/// Per-link folds of the six arms of Figs. 8–11, labelled in
+/// [`six_arms`] order. Only the three postamble arms are decoded,
+/// concurrently; each of their receptions also feeds the fold of its
+/// no-postamble twin ([`Reception::without_postamble`]), which is
+/// exactly what a `postamble: false` run would deliver.
+pub fn six_arm_link_stats(scenario: &Scenario, run: &CapacityRun) -> Vec<(String, LinkFold)> {
+    let schemes = scenario.schemes();
+    let folds = par_map(scenario, &schemes, |&scheme| {
+        let arm = RxArm {
+            scheme,
+            postamble: true,
+            collect_symbols: false,
+        };
+        let mut without = LinkFold::new(&run.env);
+        let mut with = LinkFold::new(&run.env);
+        run.for_each_reception(&arm, |rec| {
+            without.add(&rec.without_postamble());
+            with.add(&rec);
+        });
+        (without, with)
+    });
+    let (without, with): (Vec<LinkFold>, Vec<LinkFold>) = folds.into_iter().unzip();
+    let arms = six_arms(schemes);
+    debug_assert!(arms
+        .iter()
+        .map(|(_, a)| a.postamble)
+        .eq([false, false, false, true, true, true]));
+    arms.into_iter()
+        .map(|(label, _)| label)
+        .zip(without.into_iter().chain(with))
+        .collect()
+}
+
+/// Streams the PPR arm `scheme` over `run` with per-symbol traces on and
+/// hands each acquired reception's `(hints, correctness)` trace to
+/// `fold` while that reception is in hand — the one hint-statistics
+/// loop of Figs. 3, 14 and 15. No trace outlives its reception.
+pub fn fold_hint_traces(
+    run: &CapacityRun,
+    scheme: DeliveryScheme,
+    mut fold: impl FnMut(&[u8], &[bool]),
+) {
+    let arm = RxArm {
+        scheme,
+        postamble: true,
+        collect_symbols: true,
+    };
+    run.for_each_reception(&arm, |rec| {
+        if !rec.symbol_hints.is_empty() {
+            fold(&rec.symbol_hints, &rec.symbol_correct);
+        }
+    });
+}
+
+/// The hint histogram of every offered load (or the scenario's pinned
+/// load) under the scenario's PPR scheme, with carrier sense on — the
+/// CC2420 default and the §3.2/§7.4 hint-statistics environment (the
+/// paper disables carrier sense only in the experiments that say so,
+/// Figs. 9–12). The loads run concurrently, each streaming its traces
+/// straight into its histogram.
+pub fn hint_histograms(scenario: &Scenario) -> Vec<(f64, HintHistogram)> {
+    par_map(scenario, &scenario.loads(&LOADS), |&load| {
+        let run = CapacityRun::from_scenario(scenario, load, true);
+        let mut hist = HintHistogram::new();
+        fold_hint_traces(&run, scenario.ppr_scheme(), |hints, correct| {
+            hist.record_packet(hints, correct)
+        });
+        (load, hist)
+    })
 }
 
 /// The six arm combinations of Figs. 8–10: the scenario's three schemes
@@ -266,12 +376,11 @@ mod tests {
             postamble: true,
             collect_symbols: false,
         };
-        let recs = run.receptions(&arm);
-        let stats = per_link_stats(&run.env, &recs);
-        assert!(!stats.is_empty());
+        let stats = per_link_stats(&run, &arm);
+        assert!(stats.iter().next().is_some());
         let with_frames = stats.iter().filter(|(_, s)| s.frames > 0).count();
         assert!(with_frames > 5, "only {with_frames} active links");
-        for (_, s) in &stats {
+        for (_, s) in stats.iter() {
             if s.frames > 0 {
                 let fdr = s.fdr(1500);
                 assert!((0.0..=1.0).contains(&fdr), "fdr {fdr}");

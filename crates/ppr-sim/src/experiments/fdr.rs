@@ -10,7 +10,7 @@
 //! packet CRC collapses without carrier sense and at high load while PPR
 //! stays high.
 
-use super::common::{fdr_cdf, par_map, six_arms, CapacityRun};
+use super::common::{six_arm_link_stats, CapacityRun};
 use super::Experiment;
 use crate::metrics::Cdf;
 use crate::results::{ExperimentResult, TableBlock};
@@ -30,17 +30,19 @@ pub fn median_metric_key(label: &str) -> String {
     format!("median_fdr/{label}")
 }
 
-/// Runs one figure's experiment at the resolved load/carrier-sense,
-/// its six arms concurrently over the one shared timeline.
+/// Runs one figure's experiment at the resolved load/carrier-sense over
+/// one shared timeline: the three postamble arms decode concurrently
+/// and the three no-postamble arms are derived from them
+/// ([`six_arm_link_stats`]).
 pub fn collect(scenario: &Scenario, load_kbps: f64, carrier_sense: bool) -> Vec<Curve> {
     let run = CapacityRun::from_scenario(scenario, load_kbps, carrier_sense);
-    par_map(scenario, &six_arms(scenario.schemes()), |(label, arm)| {
-        let recs = run.receptions(arm);
-        Curve {
-            label: label.clone(),
-            cdf: fdr_cdf(&run.env, &recs, run.cfg.body_bytes),
-        }
-    })
+    six_arm_link_stats(scenario, &run)
+        .into_iter()
+        .map(|(label, fold)| Curve {
+            label,
+            cdf: fold.fdr_cdf(run.cfg.body_bytes),
+        })
+        .collect()
 }
 
 /// One of the three FDR figures, distinguished by its canonical

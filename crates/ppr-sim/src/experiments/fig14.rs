@@ -8,10 +8,9 @@
 //! codewords that PP-ARQ retransmits anyway (and the run-checksum pass
 //! catches the rest).
 
-use super::common::CapacityRun;
+use super::common::{fold_hint_traces, CapacityRun};
 use super::Experiment;
 use crate::metrics::MissRunHistogram;
-use crate::network::RxArm;
 use crate::results::ExperimentResult;
 use crate::scenario::Scenario;
 
@@ -19,22 +18,16 @@ use crate::scenario::Scenario;
 pub const ETAS: [u8; 4] = [1, 2, 3, 4];
 
 /// Collects the miss-run histogram from the high-load run (most
-/// collisions → most misses).
+/// collisions → most misses), one reception's trace at a time. A single
+/// run, so a single job.
 pub fn collect(scenario: &Scenario) -> MissRunHistogram {
     // Carrier sense on, as in the Fig. 3 hint-statistics runs; high
     // load maximizes the collision (and therefore miss) count.
     let run = CapacityRun::from_scenario(scenario, 13.8, true);
-    let arm = RxArm {
-        scheme: scenario.ppr_scheme(),
-        postamble: true,
-        collect_symbols: true,
-    };
     let mut hist = MissRunHistogram::new(ETAS.to_vec(), 100);
-    for rec in run.receptions(&arm) {
-        if !rec.symbol_hints.is_empty() {
-            hist.record_packet(&rec.symbol_hints, &rec.symbol_correct);
-        }
-    }
+    fold_hint_traces(&run, scenario.ppr_scheme(), |hints, correct| {
+        hist.record_packet(hints, correct)
+    });
     hist
 }
 

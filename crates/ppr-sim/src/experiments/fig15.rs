@@ -6,36 +6,10 @@
 //! the rate tiny (~5 × 10⁻³ at η = 6) and only weakly load-dependent —
 //! which is why PPR's overhead from conservatism is negligible.
 
-use super::common::CapacityRun;
+use super::common::hint_histograms;
 use super::Experiment;
-use crate::metrics::HintHistogram;
-use crate::network::RxArm;
 use crate::results::{ExperimentResult, TableBlock};
-use crate::scenario::{Scenario, LOADS};
-
-/// Collected histograms per load.
-pub fn collect(scenario: &Scenario) -> Vec<(f64, HintHistogram)> {
-    scenario
-        .loads(&LOADS)
-        .into_iter()
-        .map(|load| {
-            // Carrier sense on, as in the Fig. 3 hint-statistics runs.
-            let run = CapacityRun::from_scenario(scenario, load, true);
-            let arm = RxArm {
-                scheme: scenario.ppr_scheme(),
-                postamble: true,
-                collect_symbols: true,
-            };
-            let mut hist = HintHistogram::new();
-            for rec in run.receptions(&arm) {
-                for (&h, &c) in rec.symbol_hints.iter().zip(&rec.symbol_correct) {
-                    hist.record(h, c);
-                }
-            }
-            (load, hist)
-        })
-        .collect()
-}
+use crate::scenario::Scenario;
 
 /// The Fig. 15 experiment.
 pub struct Fig15;
@@ -58,7 +32,8 @@ impl Experiment for Fig15 {
     }
 
     fn run(&self, scenario: &Scenario) -> ExperimentResult {
-        let data = collect(scenario);
+        // The Fig. 3 hint-statistics runs: carrier sense on, per load.
+        let data = hint_histograms(scenario);
         let mut res = ExperimentResult::new(self.id(), self.title(), self.paper_ref(), scenario);
         res.text(
             "Figure 15: false-alarm rate (CCDF of correct codewords' Hamming\n\
@@ -97,7 +72,7 @@ mod tests {
     #[test]
     fn false_alarm_rate_is_small_and_monotone() {
         let sc = ScenarioBuilder::new().duration_s(5.0).build();
-        let data = collect(&sc);
+        let data = hint_histograms(&sc);
         for (load, hist) in &data {
             assert!(hist.total_correct() > 1000, "load {load}: too few samples");
             let fa6 = hist.false_alarm_rate(6);

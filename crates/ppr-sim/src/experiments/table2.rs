@@ -44,8 +44,7 @@ pub fn collect(scenario: &Scenario) -> Vec<Row> {
             postamble: true,
             collect_symbols: false,
         };
-        let recs = run.receptions(&arm);
-        let aggregate: f64 = per_link_stats(&run.env, &recs)
+        let aggregate: f64 = per_link_stats(&run, &arm)
             .iter()
             .map(|(_, s)| s.throughput_kbps(duration_s))
             .sum();

@@ -9,7 +9,7 @@
 //! CRC; fragmented CRC far outperforms packet CRC; the spread of link
 //! quality narrows for the finer-granularity schemes.
 
-use super::common::{par_map, per_link_stats, six_arms, CapacityRun};
+use super::common::{par_map, per_link_stats, six_arm_link_stats, CapacityRun};
 use super::Experiment;
 use crate::metrics::Cdf;
 use crate::network::RxArm;
@@ -25,23 +25,18 @@ pub struct Curve {
     pub cdf: Cdf,
 }
 
-/// Fig. 11: throughput CDFs for the six arms at one load, evaluated
-/// concurrently over the one shared timeline.
+/// Fig. 11: throughput CDFs for the six arms at one load over the one
+/// shared timeline — the postamble arms decoded concurrently, the
+/// no-postamble arms derived from them ([`six_arm_link_stats`]).
 pub fn collect_fig11(scenario: &Scenario, load_kbps: f64) -> Vec<Curve> {
     let run = CapacityRun::from_scenario(scenario, load_kbps, false);
-    let duration_s = run.cfg.duration_s;
-    par_map(scenario, &six_arms(scenario.schemes()), |(label, arm)| {
-        let recs = run.receptions(arm);
-        let samples = per_link_stats(&run.env, &recs)
-            .into_iter()
-            .filter(|(_, s)| s.frames > 0)
-            .map(|(_, s)| s.throughput_kbps(duration_s))
-            .collect();
-        Curve {
-            label: label.clone(),
-            cdf: Cdf::from_samples(samples),
-        }
-    })
+    six_arm_link_stats(scenario, &run)
+        .into_iter()
+        .map(|(label, fold)| Curve {
+            label,
+            cdf: fold.throughput_cdf(run.cfg.duration_s),
+        })
+        .collect()
 }
 
 /// One Fig. 12 scatter point: per-link throughputs under the three
@@ -62,32 +57,40 @@ pub struct ScatterPoint {
 
 /// Fig. 12: per-link (fragmented CRC, packet CRC, PPR) throughput
 /// triples at every load. Postamble decoding enabled for all (the
-/// paper's default receiver). The three arms of a load run
-/// concurrently over its shared timeline.
+/// paper's default receiver). Every (load, scheme) arm is one job of a
+/// single [`par_map`], each over its load's shared timeline.
 pub fn collect_fig12(scenario: &Scenario) -> Vec<ScatterPoint> {
+    let runs = par_map(scenario, &scenario.loads(&LOADS), |&load| {
+        CapacityRun::from_scenario(scenario, load, false)
+    });
+    let jobs: Vec<(&CapacityRun, RxArm)> = runs
+        .iter()
+        .flat_map(|run| {
+            scenario.schemes().map(|scheme| {
+                let arm = RxArm {
+                    scheme,
+                    postamble: true,
+                    collect_symbols: false,
+                };
+                (run, arm)
+            })
+        })
+        .collect();
+    let stats = par_map(scenario, &jobs, |(run, arm)| per_link_stats(run, arm));
     let mut out = Vec::new();
-    for load in scenario.loads(&LOADS) {
-        let run = CapacityRun::from_scenario(scenario, load, false);
+    for (run, stats) in runs.iter().zip(stats.chunks(3)) {
+        let [packet, frag, ppr] = [&stats[0], &stats[1], &stats[2]].map(|fold| fold.iter());
         let duration_s = run.cfg.duration_s;
-        let [pkt, frag, ppr] = scenario.schemes();
-        let arms = [pkt, frag, ppr].map(|scheme| RxArm {
-            scheme,
-            postamble: true,
-            collect_symbols: false,
-        });
-        let stats = par_map(scenario, &arms, |arm| {
-            per_link_stats(&run.env, &run.receptions(arm))
-        });
-        for (i, &(link, ref packet_stats)) in stats[0].iter().enumerate() {
-            if packet_stats.frames == 0 {
+        for (((link, p), (_, f)), (_, r)) in packet.zip(frag).zip(ppr) {
+            if p.frames == 0 {
                 continue;
             }
             out.push(ScatterPoint {
-                load_kbps: load,
+                load_kbps: run.cfg.load_kbps,
                 link,
-                packet: packet_stats.throughput_kbps(duration_s),
-                frag: stats[1][i].1.throughput_kbps(duration_s),
-                ppr: stats[2][i].1.throughput_kbps(duration_s),
+                packet: p.throughput_kbps(duration_s),
+                frag: f.throughput_kbps(duration_s),
+                ppr: r.throughput_kbps(duration_s),
             });
         }
     }

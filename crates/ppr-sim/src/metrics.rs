@@ -101,6 +101,14 @@ impl HintHistogram {
         }
     }
 
+    /// Records one packet's per-codeword hints against their
+    /// correctness (pairs beyond the shorter slice are ignored).
+    pub fn record_packet(&mut self, hints: &[u8], correct: &[bool]) {
+        for (&h, &c) in hints.iter().zip(correct) {
+            self.record(h, c);
+        }
+    }
+
     /// Total correct codewords.
     pub fn total_correct(&self) -> u64 {
         self.correct.iter().sum()

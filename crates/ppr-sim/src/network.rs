@@ -33,12 +33,11 @@
 //!
 //! ## Determinism contract of the reception loop
 //!
-//! [`process_receptions`] is single-threaded: one event loop prepares
-//! each (transmission, receiver) capture when its `TxStart` pops and
-//! decodes it when its `ReceptionComplete` pops. Results are
-//! bit-identical to the receiver-major reference
-//! ([`process_receptions_reference`]) even though the two visit the
-//! work in different orders, because:
+//! The reception loop is single-threaded: one event loop prepares each
+//! (transmission, receiver) capture when its `TxStart` pops and decodes
+//! it when its `ReceptionComplete` pops. Results are bit-identical to
+//! the receiver-major reference ([`process_receptions_reference`]) even
+//! though the two visit the work in different orders, because:
 //!
 //! 1. every reception draws its channel noise from its own RNG stream
 //!    seeded by `(seed, tx id, receiver)` — no RNG is shared between
@@ -46,14 +45,27 @@
 //! 2. the only cross-reception state — a receiver's busy/idle window —
 //!    depends solely on earlier preamble hits at that receiver, and the
 //!    loop folds it in event-pop order (= timeline order per receiver);
-//! 3. outputs land in fixed (receiver, timeline-order) slots, not in
-//!    completion order;
+//! 3. every output carries its fixed (receiver, timeline-order) slot;
+//!    [`process_receptions`] collects by slot, not by completion order;
 //! 4. event dispatch itself is totally ordered by the
 //!    `(time, priority, seq)` key of [`crate::event::EventKey`].
 //!
+//! The loop streams: [`stream_receptions`] hands each reception to a
+//! caller's sink the moment it completes and keeps none, so a run
+//! holds per-symbol traces only for the reception in hand. The
+//! experiments consume receptions this way, as folds (per-link sums,
+//! hint histograms) whose result cannot depend on arrival order;
+//! [`process_receptions`], snapshots and the differential harness
+//! collect the same stream into the slots. `tests/snapshot_roundtrip.rs`
+//! holds the sorted stream equal to the collected slots, fresh and
+//! resumed. Because the no-postamble arm is a pure function of the
+//! postamble arm ([`Reception::without_postamble`]), the FDR and
+//! throughput figures decode only the postamble arms and derive the
+//! rest.
+//!
 //! Threads exist only one level up: the experiments evaluate their
-//! independent arms over one shared timeline concurrently
-//! (`experiments::common::par_map`), each arm in its own serial loop.
+//! independent arms and offered loads concurrently
+//! (`experiments::common::par_map`), each in its own serial loop.
 //! `tests/packed_parity.rs` and `tests/event_parity.rs` pin the
 //! equality with the reference.
 
@@ -522,6 +534,33 @@ pub struct Reception {
     pub symbol_correct: Vec<bool>,
 }
 
+impl Reception {
+    /// The same capture under the receiver without postamble decoding.
+    ///
+    /// A preamble acquisition ignores the postamble flag, and so does
+    /// the busy/idle fold (it reads only the preamble hit), so the
+    /// no-postamble twin of a reception is a pure function of it: the
+    /// reception itself when it was acquired via its preamble, otherwise
+    /// the lost reception — no acquisition, nothing delivered, no CRC
+    /// verdict, no traces, identity and payload length kept.
+    /// `tests/event_parity.rs` holds this equal to a direct
+    /// `postamble: false` run.
+    pub fn without_postamble(&self) -> Reception {
+        if self.acquisition == Acquisition::Preamble {
+            return self.clone();
+        }
+        Reception {
+            acquisition: Acquisition::None,
+            delivered_correct: 0,
+            delivered_claimed: 0,
+            crc_ok: false,
+            symbol_hints: Vec::new(),
+            symbol_correct: Vec::new(),
+            ..*self
+        }
+    }
+}
+
 /// Deterministic known test pattern for (sender, seq), as the paper's
 /// known-payload method requires.
 pub fn payload_pattern(sender: usize, seq: u16, len: usize) -> Vec<u8> {
@@ -572,8 +611,9 @@ pub const BATCH_PER_WORKER: usize = 8;
 /// [`ChipWords`] end to end, and the loop is single-threaded (see the
 /// module docs for the determinism contract). Output is bit-identical
 /// to the sequential reference ([`process_receptions_reference`]). To
-/// stop at an event boundary or checkpoint, drive a
-/// [`ReceptionDriver`] directly.
+/// fold receptions as they complete instead of collecting them, use
+/// [`stream_receptions`]; to stop at an event boundary or checkpoint,
+/// drive a [`ReceptionDriver`] directly.
 pub fn process_receptions(
     env: &RadioEnv,
     cfg: &SimConfig,
@@ -588,7 +628,7 @@ pub fn process_receptions(
 /// the versioned snapshot byte format, restored from those bytes into a
 /// fresh driver, and completed. Output is bit-identical to the
 /// uninterrupted run (`tests/snapshot_roundtrip.rs` pins this for every
-/// registry experiment) — the scenario `checkpoint` axis routes here.
+/// registry experiment).
 pub fn process_receptions_checkpointed(
     env: &RadioEnv,
     cfg: &SimConfig,
@@ -596,11 +636,48 @@ pub fn process_receptions_checkpointed(
     arm: &RxArm,
     checkpoint_events: u64,
 ) -> Vec<Reception> {
-    let bytes = snapshot_after_events(env, cfg, timeline, arm, checkpoint_events);
+    resume_after_events(env, cfg, timeline, arm, checkpoint_events).run_to_end()
+}
+
+/// Hands every reception of one arm to `sink` with its receiver-major
+/// slot, each the moment its completion event pops, and keeps none of
+/// them: the caller folds what it needs while the reception is in hand.
+///
+/// With `checkpoint_events` set, the run goes through the same
+/// snapshot round trip as [`process_receptions_checkpointed`] (the
+/// scenario `checkpoint` axis routes here); the restored driver first
+/// hands on the receptions decoded before the checkpoint, then streams
+/// the rest. Either way `sink` sees exactly the receptions
+/// [`process_receptions`] returns, in completion order rather than slot
+/// order.
+pub fn stream_receptions(
+    env: &RadioEnv,
+    cfg: &SimConfig,
+    timeline: &[Transmission],
+    arm: &RxArm,
+    checkpoint_events: Option<u64>,
+    sink: impl FnMut(usize, Reception),
+) {
+    match checkpoint_events {
+        None => ReceptionDriver::start(env, cfg, timeline, arm),
+        Some(events) => resume_after_events(env, cfg, timeline, arm, events),
+    }
+    .stream_to_end(sink)
+}
+
+/// A driver restored from the serialized checkpoint of its own run at
+/// the `events` dispatch boundary.
+fn resume_after_events<'a>(
+    env: &'a RadioEnv,
+    cfg: &'a SimConfig,
+    timeline: &'a [Transmission],
+    arm: &'a RxArm,
+    events: u64,
+) -> ReceptionDriver<'a> {
+    let bytes = snapshot_after_events(env, cfg, timeline, arm, events);
     let snap = RxSnapshot::from_bytes(&bytes).expect("snapshot bytes round-trip");
     ReceptionDriver::restore(env, cfg, timeline, arm, &snap)
         .expect("snapshot restores against its own run inputs")
-        .run_to_end()
 }
 
 /// Runs the event-driven reception driver to the `events` dispatch
@@ -618,16 +695,19 @@ pub fn snapshot_after_events(
     driver.save().to_bytes()
 }
 
-/// The event-driven reception loop as a resumable state machine: run it
-/// to completion ([`ReceptionDriver::run_to_end`]), or to an event
-/// boundary ([`ReceptionDriver::run_events`]), checkpoint it
+/// The event-driven reception loop as a resumable state machine: stream
+/// it to completion ([`ReceptionDriver::stream_to_end`], or
+/// [`ReceptionDriver::run_to_end`] to collect the slots), or run it to
+/// an event boundary ([`ReceptionDriver::run_events`]), checkpoint it
 /// ([`ReceptionDriver::save`]) and continue later — in this process or
 /// another — via [`ReceptionDriver::restore`]. A checkpointed run is
 /// bit-identical to an uninterrupted one: every capture is prepared the
 /// moment its `TxStart` pops and decoded the moment its completion pops,
 /// so at any event boundary the state is exactly the event queue, the
-/// decoded slots, the busy horizons and the in-flight captures — all of
-/// which the snapshot carries.
+/// receptions decoded so far, the busy horizons and the in-flight
+/// captures — all of which the snapshot carries. Only a driver paused
+/// at a boundary keeps decoded receptions; a streaming one hands each
+/// on as it completes.
 pub struct ReceptionDriver<'a> {
     // ppr-lint: region(snapshot-state) begin testbed reception driver state
     /// snapshot: rebuilt — the shared pipeline stages are pure functions
@@ -639,9 +719,13 @@ pub struct ReceptionDriver<'a> {
     /// snapshot: serialized — every scheduled event with its key
     /// verbatim, plus the queue's push/dispatch counters.
     q: BinaryHeapQueue<SimEvent>,
-    /// snapshot: serialized — decoded receptions in their fixed
-    /// receiver-major slots (undecoded slots travel as absent).
-    out: Vec<Option<Reception>>,
+    /// snapshot: serialized — receptions decoded by
+    /// [`ReceptionDriver::run_events`], with their fixed receiver-major
+    /// slots (undecoded slots travel as absent).
+    decoded: Vec<(usize, Reception)>,
+    /// snapshot: rebuilt — size of the receiver-major slot table,
+    /// derived from the timeline and the link gains.
+    slots: usize,
     /// snapshot: serialized — per-receiver busy horizon of the
     /// sequential busy/idle fold.
     busy_until: Vec<u64>,
@@ -711,7 +795,6 @@ impl<'a> ReceptionDriver<'a> {
         for r in 0..nr {
             base[r + 1] = base[r] + count[r];
         }
-        let total_jobs = base[nr];
         let next_slot: Vec<usize> = base[..nr].to_vec();
 
         // Timeline is (start_chip, id)-ordered, so scheduling in index
@@ -726,13 +809,12 @@ impl<'a> ReceptionDriver<'a> {
             );
         }
 
-        let mut out: Vec<Option<Reception>> = Vec::new();
-        out.resize_with(total_jobs, || None);
         ReceptionDriver {
             pipe,
             receivers_of,
             q,
-            out,
+            decoded: Vec::new(),
+            slots: base[nr],
             busy_until: vec![0u64; nr],
             next_slot,
             // Captures awaiting their completion event, keyed by output
@@ -743,9 +825,10 @@ impl<'a> ReceptionDriver<'a> {
 
     /// Dispatches the next event. A `TxStart` prepares one capture per
     /// audible receiver, folds its busy/idle verdict and schedules its
-    /// completion; a `ReceptionComplete` decodes that capture into its
-    /// slot. Returns `false` once the queue is drained.
-    fn step(&mut self) -> bool {
+    /// completion; a `ReceptionComplete` decodes that capture and hands
+    /// it to `sink` with its slot. Returns `false` once the queue is
+    /// drained.
+    fn step(&mut self, sink: &mut impl FnMut(usize, Reception)) -> bool {
         let timeline = self.pipe.timeline;
         match self.q.pop() {
             Some((_, SimEvent::TxStart { tx: idx })) => {
@@ -776,7 +859,7 @@ impl<'a> ReceptionDriver<'a> {
                     .in_flight
                     .remove(&slot)
                     .expect("completion event for an in-flight reception");
-                self.out[slot] = Some(self.pipe.finish(&job, &prep, idle));
+                sink(slot, self.pipe.finish(&job, &prep, idle));
             }
             Some((_, ev)) => unreachable!("unexpected {ev:?} in the testbed driver"),
             None => return false,
@@ -790,23 +873,50 @@ impl<'a> ReceptionDriver<'a> {
     }
 
     /// Drives the run until `events` total dispatches (a stable epoch
-    /// boundary) or until the run completes, whichever is first.
+    /// boundary) or until the run completes, whichever is first. The
+    /// receptions decoded on the way are kept, so the driver can be
+    /// saved at the boundary.
     pub fn run_events(&mut self, events: u64) {
-        while self.q.dispatched() < events {
-            if !self.step() {
-                break;
-            }
+        let mut decoded = std::mem::take(&mut self.decoded);
+        while self.q.dispatched() < events && self.step(&mut |slot, rec| decoded.push((slot, rec)))
+        {
         }
+        self.decoded = decoded;
+    }
+
+    /// Runs to completion, handing `sink` every reception with its
+    /// receiver-major slot: first those decoded before this point (by
+    /// [`ReceptionDriver::run_events`], or restored from a snapshot),
+    /// then each one the moment its completion event pops. The driver
+    /// keeps none of them.
+    pub fn stream_to_end(mut self, mut sink: impl FnMut(usize, Reception)) {
+        for (slot, rec) in std::mem::take(&mut self.decoded) {
+            sink(slot, rec);
+        }
+        while self.step(&mut sink) {}
     }
 
     /// Runs to completion and returns the receptions in receiver-major
-    /// reference order.
-    pub fn run_to_end(mut self) -> Vec<Reception> {
-        while self.step() {}
-        self.out
-            .into_iter()
+    /// reference order — [`ReceptionDriver::stream_to_end`] into the
+    /// slot table.
+    pub fn run_to_end(self) -> Vec<Reception> {
+        let mut out: Vec<Option<Reception>> = Vec::new();
+        out.resize_with(self.slots, || None);
+        self.stream_to_end(|slot, rec| out[slot] = Some(rec));
+        out.into_iter()
             .map(|r| r.expect("every slot decoded by its completion event"))
             .collect()
+    }
+
+    /// The decoded receptions as the snapshot's receiver-major slot
+    /// table (undecoded slots `None`).
+    fn slot_table(&self) -> Vec<Option<Reception>> {
+        let mut out: Vec<Option<Reception>> = Vec::new();
+        out.resize_with(self.slots, || None);
+        for (slot, rec) in &self.decoded {
+            out[*slot] = Some(rec.clone());
+        }
+        out
     }
 
     /// Checkpoints the driver: queue + slots + busy horizons + in-flight
@@ -846,7 +956,7 @@ impl<'a> ReceptionDriver<'a> {
             dispatched,
             busy_until: self.busy_until.clone(),
             next_slot: self.next_slot.clone(),
-            out: self.out.clone(),
+            out: self.slot_table(),
             in_flight,
         }
     }
@@ -866,7 +976,7 @@ impl<'a> ReceptionDriver<'a> {
         validate_rx_progress(env, timeline, snap)?;
         let mut driver = ReceptionDriver::start(env, cfg, timeline, arm);
         let nr = env.testbed.receivers.len();
-        let total_jobs = driver.out.len();
+        let total_jobs = driver.slots;
         if snap.next_slot.len() != nr {
             return Err(SnapError::Corrupt(format!(
                 "{} next-slot counters for {nr} receivers",
@@ -908,7 +1018,12 @@ impl<'a> ReceptionDriver<'a> {
         driver.q = BinaryHeapQueue::from_state(snap.queue.clone(), snap.next_seq, snap.dispatched);
         driver.busy_until = snap.busy_until.clone();
         driver.next_slot = snap.next_slot.clone();
-        driver.out = snap.out.clone();
+        driver.decoded = snap
+            .out
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, rec)| Some((slot, rec.clone()?)))
+            .collect();
         // Reconstruct the in-flight captures: physics from the run
         // inputs, chip noise from the stored stream positions.
         for f in &snap.in_flight {

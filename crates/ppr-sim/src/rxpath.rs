@@ -277,6 +277,21 @@ mod tests {
                     );
                 }
             }
+            // Without postamble decoding the receiver keeps exactly its
+            // preamble acquisitions and loses everything else — the
+            // derivation `Reception::without_postamble` relies on.
+            for idle in [false, true] {
+                let (acq_on, rx_on) = FastRx::new(true).receive_words(&frame, &packed, idle);
+                let derived = match acq_on {
+                    Acquisition::Preamble => (acq_on, rx_on),
+                    _ => (Acquisition::None, None),
+                };
+                assert_eq!(
+                    FastRx::new(false).receive_words(&frame, &packed, idle),
+                    derived,
+                    "scenario {scenario} idle {idle}"
+                );
+            }
         }
     }
 

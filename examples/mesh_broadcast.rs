@@ -10,7 +10,7 @@
 //! ```
 
 use ppr::mac::schemes::DeliveryScheme;
-use ppr::sim::experiments::common::{fdr_cdf, per_link_stats, CapacityRun};
+use ppr::sim::experiments::common::{CapacityRun, LinkFold};
 use ppr::sim::network::RxArm;
 use ppr::sim::rxpath::Acquisition;
 
@@ -48,24 +48,24 @@ fn main() {
             postamble,
             collect_symbols: false,
         };
-        let recs = run.receptions(&arm);
-        let cdf = fdr_cdf(&run.env, &recs, run.cfg.body_bytes);
-        let stats = per_link_stats(&run.env, &recs);
+        let mut links = LinkFold::new(&run.env);
         let (mut pre, mut post, mut lost) = (0usize, 0usize, 0usize);
-        for r in &recs {
+        run.for_each_reception(&arm, |r| {
+            links.add(&r);
             match r.acquisition {
                 Acquisition::Preamble => pre += 1,
                 Acquisition::Postamble => post += 1,
                 Acquisition::None => lost += 1,
             }
-        }
+        });
+        let cdf = links.fdr_cdf(run.cfg.body_bytes);
         println!("{label}");
         println!(
             "  median per-link FDR {:.3}  (p25 {:.3}, p75 {:.3}) over {} links",
             cdf.median(),
             cdf.quantile(0.25),
             cdf.quantile(0.75),
-            stats.iter().filter(|(_, s)| s.frames > 0).count(),
+            links.iter().filter(|(_, s)| s.frames > 0).count(),
         );
         println!("  acquisitions: {pre} preamble, {post} postamble, {lost} lost\n");
     }

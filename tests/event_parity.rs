@@ -8,6 +8,9 @@
 //! 2. **Reception loop** — [`process_receptions`] (the single-threaded
 //!    event driver over packed chips) vs [`process_receptions_reference`]
 //!    (the sequential `&[bool]` specification).
+//! 3. **Derived arms** — a direct `postamble: false` run vs
+//!    [`Reception::without_postamble`] applied to the postamble run,
+//!    which is how the FDR and throughput figures obtain that arm.
 //!
 //! Plus mesh resume inside a decode-flush window.
 //!
@@ -20,8 +23,12 @@ use ppr::mac::schemes::DeliveryScheme;
 use ppr::sim::geometry::{Point, Testbed};
 use ppr::sim::network::{
     generate_timeline, generate_timeline_reference, office_model, process_receptions,
-    process_receptions_reference, RadioEnv, RxArm, SimConfig,
+    process_receptions_checkpointed, process_receptions_reference, snapshot_after_events, RadioEnv,
+    Reception, RxArm, SimConfig,
 };
+use ppr::sim::rxpath::Acquisition;
+use ppr::sim::scenario::DEFAULT_SEED;
+use ppr::sim::snapshot::RxSnapshot;
 use ppr::sim::spatial::SpatialIndex;
 use proptest::prelude::*;
 
@@ -65,6 +72,67 @@ fn reception_loop_matches_reference() {
     let reference = process_receptions_reference(&env, &c, &timeline, &arm);
     assert!(!reference.is_empty());
     assert_eq!(process_receptions(&env, &c, &timeline, &arm), reference);
+}
+
+#[test]
+fn no_postamble_arm_is_derived_exactly() {
+    let derived = |recs: &[Reception]| -> Vec<Reception> {
+        recs.iter().map(Reception::without_postamble).collect()
+    };
+    let arm = |scheme, postamble, collect_symbols| RxArm {
+        scheme,
+        postamble,
+        collect_symbols,
+    };
+    let mut rescued = 0;
+    // Every (load, carrier sense) point of Figs. 8-11, every scheme.
+    for (load, cs) in [(3.5, true), (3.5, false), (13.8, false), (6.9, false)] {
+        for seed in [DEFAULT_SEED, 7] {
+            let mut c = cfg(load, seed);
+            c.carrier_sense = cs;
+            let env = RadioEnv::new(seed);
+            let timeline = generate_timeline(&env, &c);
+            for scheme in DeliveryScheme::standard_set(50, 6) {
+                let with = process_receptions(&env, &c, &timeline, &arm(scheme, true, false));
+                let without = process_receptions(&env, &c, &timeline, &arm(scheme, false, false));
+                assert_eq!(
+                    without,
+                    derived(&with),
+                    "load {load}, cs {cs}, seed {seed}, {scheme:?}"
+                );
+                rescued += with
+                    .iter()
+                    .filter(|r| r.acquisition == Acquisition::Postamble)
+                    .count();
+            }
+        }
+    }
+    assert!(
+        rescued > 0,
+        "no postamble acquisition: the check is vacuous"
+    );
+
+    let c = cfg(13.8, 7);
+    let env = RadioEnv::new(c.seed);
+    let timeline = generate_timeline(&env, &c);
+    let ppr = DeliveryScheme::Ppr { eta: 6 };
+    // A checkpointed run: both arms resumed halfway, captures in flight.
+    let snapshot_at = |events, postamble| {
+        let bytes = snapshot_after_events(&env, &c, &timeline, &arm(ppr, postamble, false), events);
+        RxSnapshot::from_bytes(&bytes).expect("snapshot parses")
+    };
+    let mid = snapshot_at(u64::MAX, true).dispatched / 2;
+    assert!(!snapshot_at(mid, true).in_flight.is_empty());
+    let with = process_receptions_checkpointed(&env, &c, &timeline, &arm(ppr, true, false), mid);
+    let without =
+        process_receptions_checkpointed(&env, &c, &timeline, &arm(ppr, false, false), mid);
+    assert_eq!(without, derived(&with), "checkpointed at {mid}");
+    // Per-symbol traces: kept for preamble acquisitions, dropped for
+    // the rest.
+    let with = process_receptions(&env, &c, &timeline, &arm(ppr, true, true));
+    let without = process_receptions(&env, &c, &timeline, &arm(ppr, false, true));
+    assert!(with.iter().any(|r| !r.symbol_hints.is_empty()));
+    assert_eq!(without, derived(&with), "collect_symbols");
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //!
 //! 1. **Reception streams** — `process_receptions_checkpointed` vs the
 //!    uninterrupted event driver, property-tested across checkpoint
-//!    epochs and seeds.
+//!    epochs and seeds; and the streamed form (`stream_receptions`,
+//!    what the experiments fold) vs the collected slots, fresh and
+//!    resumed.
 //! 2. **Experiments** — every registry entry renders the same report
 //!    with `checkpoint` set.
 //! 3. **The format itself** — a canonical snapshot's bytes are pinned
@@ -21,8 +23,8 @@ use ppr::mac::schemes::DeliveryScheme;
 use ppr::sim::experiments::registry;
 use ppr::sim::network::{
     generate_timeline, process_receptions, process_receptions_checkpointed,
-    resume_receptions_reference, snapshot_after_events, RadioEnv, Reception, ReceptionDriver,
-    RxArm, SimConfig, Transmission,
+    resume_receptions_reference, snapshot_after_events, stream_receptions, RadioEnv, Reception,
+    ReceptionDriver, RxArm, SimConfig, Transmission,
 };
 use ppr::sim::results::fingerprint;
 use ppr::sim::scenario::ScenarioBuilder;
@@ -60,6 +62,59 @@ fn reception_checkpoint_is_bit_identical_at_every_epoch_class() {
         let got = process_receptions_checkpointed(&env, &c, &timeline, &arm, events);
         assert_eq!(got, reference, "diverged at checkpoint {events}");
     }
+}
+
+/// Sorts a stream of `(slot, reception)` by slot, checking that every
+/// slot arrived exactly once.
+fn by_slot(mut streamed: Vec<(usize, Reception)>) -> Vec<Reception> {
+    streamed.sort_by_key(|&(slot, _)| slot);
+    assert!(
+        streamed.iter().enumerate().all(|(i, &(slot, _))| i == slot),
+        "stream skipped or repeated a slot"
+    );
+    streamed.into_iter().map(|(_, rec)| rec).collect()
+}
+
+#[test]
+fn streamed_receptions_match_collected() {
+    let c = cfg(42.4, 7);
+    let env = RadioEnv::new(c.seed);
+    let timeline = generate_timeline(&env, &c);
+    let arm = arm();
+    let collected = process_receptions(&env, &c, &timeline, &arm);
+    let stream = |checkpoint| {
+        let mut got = Vec::new();
+        stream_receptions(&env, &c, &timeline, &arm, checkpoint, |slot, rec| {
+            got.push((slot, rec))
+        });
+        got
+    };
+
+    let plain = stream(None);
+    assert!(
+        plain.windows(2).any(|w| w[0].0 > w[1].0),
+        "completion order never left slot order: the sort below checks nothing"
+    );
+    assert_eq!(by_slot(plain), collected, "plain run");
+
+    // A checkpoint taken while captures are in flight and some slots
+    // are already decoded: the restored driver hands the decoded slots
+    // on first, then streams the rest.
+    let snap_at = |events| {
+        RxSnapshot::from_bytes(&snapshot_after_events(&env, &c, &timeline, &arm, events))
+            .expect("snapshot parses")
+    };
+    let events = snap_at(u64::MAX).dispatched / 2;
+    let snap = snap_at(events);
+    assert!(
+        !snap.in_flight.is_empty(),
+        "no capture in flight at {events}"
+    );
+    assert!(
+        snap.out.iter().any(Option::is_some),
+        "nothing decoded at {events}"
+    );
+    assert_eq!(by_slot(stream(Some(events))), collected, "resumed run");
 }
 
 proptest! {
